@@ -257,27 +257,17 @@ func BenchmarkGrtSpeedup(b *testing.B) {
 			if k == dfdeques.SchedWS {
 				kbytes = 0 // WS is DFDeques(∞): no memory threshold
 			}
-			// The continuation engine keeps the historical benchmark name
-			// (it is the default engine, so old snapshots compare against
-			// it directly); the legacy channel-frame engine rides along
-			// under a /channel suffix for the engine-vs-engine delta.
-			for _, eng := range []struct {
-				suffix  string
-				channel bool
-			}{{"", false}, {"/channel", true}} {
-				b.Run(fmt.Sprintf("%s/p%d%s", k, workers, eng.suffix), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := dfdeques.Run(dfdeques.RuntimeConfig{
-							Workers: workers, Sched: k, K: kbytes, Seed: int64(i),
-							ChannelFrames: eng.channel,
-						}, func(r *dfdeques.Thread) {
-							rec(r, depth, 1)
-						}); err != nil {
-							b.Fatal(err)
-						}
+			b.Run(fmt.Sprintf("%s/p%d", k, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := dfdeques.Run(dfdeques.RuntimeConfig{
+						Workers: workers, Sched: k, K: kbytes, Seed: int64(i),
+					}, func(r *dfdeques.Thread) {
+						rec(r, depth, 1)
+					}); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -285,12 +275,11 @@ func BenchmarkGrtSpeedup(b *testing.B) {
 // BenchmarkGrtForkJoinCost measures the bare cost of one fork+join pair
 // with nothing else in the system: a warm persistent runtime, one job per
 // measurement, and a root thread running b.N fork+joins of an empty
-// child. This is the work-first tentpole number — on the continuation
-// engine an unstolen fork+join is an inline call (deque push, conditional
-// pop, direct body call: no goroutine, no channel, no allocation), while
-// the channel-frame engine pays a goroutine spawn and two channel
-// round-trips per pair. At p>1 the same loop runs under live thieves, so
-// the cost includes the promote-on-steal protocol's occasional hits.
+// child. This is the work-first number — an unstolen fork+join is an
+// inline call (deque push, conditional pop, direct body call: no
+// goroutine, no channel, no allocation). At p>1 the same loop runs under
+// live thieves, so the cost includes the promote-on-steal protocol's
+// occasional hits.
 func BenchmarkGrtForkJoinCost(b *testing.B) {
 	for _, k := range []dfdeques.SchedKind{dfdeques.SchedDFDeques, dfdeques.SchedWS, dfdeques.SchedADF} {
 		for _, workers := range []int{1, 2, 4, 8} {
@@ -298,35 +287,29 @@ func BenchmarkGrtForkJoinCost(b *testing.B) {
 			if k == dfdeques.SchedWS {
 				kbytes = 0
 			}
-			for _, eng := range []struct {
-				suffix  string
-				channel bool
-			}{{"", false}, {"/channel", true}} {
-				b.Run(fmt.Sprintf("%s/p%d%s", k, workers, eng.suffix), func(b *testing.B) {
-					rt, err := dfdeques.NewRuntime(dfdeques.RuntimeConfig{
-						Workers: workers, Sched: k, K: kbytes, Seed: 1,
-						ChannelFrames: eng.channel,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer rt.Shutdown(context.Background())
-					b.ReportAllocs()
-					b.ResetTimer()
-					j, err := rt.Submit(context.Background(), func(t *dfdeques.Thread) {
-						for i := 0; i < b.N; i++ {
-							h := t.Fork(func(*dfdeques.Thread) {})
-							t.Join(h)
-						}
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := j.Wait(); err != nil {
-						b.Fatal(err)
+			b.Run(fmt.Sprintf("%s/p%d", k, workers), func(b *testing.B) {
+				rt, err := dfdeques.NewRuntime(dfdeques.RuntimeConfig{
+					Workers: workers, Sched: k, K: kbytes, Seed: 1,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer rt.Shutdown(context.Background())
+				b.ReportAllocs()
+				b.ResetTimer()
+				j, err := rt.Submit(context.Background(), func(t *dfdeques.Thread) {
+					for i := 0; i < b.N; i++ {
+						h := t.Fork(func(*dfdeques.Thread) {})
+						t.Join(h)
 					}
 				})
-			}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := j.Wait(); err != nil {
+					b.Fatal(err)
+				}
+			})
 		}
 	}
 }

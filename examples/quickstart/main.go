@@ -26,8 +26,9 @@ func mergesort(t *dfdeques.Thread, s, buf []int) {
 		return
 	}
 	mid := len(s) / 2
-	// Fork the left half; the child preempts us (depth-first), and an
-	// idle worker steals the continuation.
+	// Fork the left half: it waits on our deque while we sort the right
+	// half, so an idle worker can steal it; if none did, Join runs it
+	// inline.
 	h := t.Fork(func(c *dfdeques.Thread) { mergesort(c, s[:mid], buf[:mid]) })
 	mergesort(t, s[mid:], buf[mid:])
 	t.Join(h)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,18 @@ import (
 // protocol of §3.2–3.3), but synchronized fine-grained instead of behind
 // one caller-supplied scheduler lock.
 //
+// Geometry. SharedPool serves the runtime's work-first engine, where a
+// fork pushes the never-run child and the parent keeps running. Each
+// deque therefore holds its highest-priority thread at the BOTTOM (the
+// steal end) and its lowest at the top, and a running thread has lower
+// 1DF priority than everything in its own deque — the mirror image of
+// Pool, whose serial simulator pushes the parent and runs the child. R is
+// still ordered left to right by decreasing priority, and a thief's new
+// deque goes immediately LEFT of its victim: the stolen bottom x precedes
+// every thread left in the victim, x's future descendants sit just before
+// x in the 1DF order, and everything in deques left of the victim
+// precedes x (DESIGN.md, "Work-first execution", states the argument).
+//
 // Synchronization design (see DESIGN.md §5, "beyond the paper"):
 //
 //   - Every item operation on a deque is NONBLOCKING: the ABP-style
@@ -26,7 +39,7 @@ import (
 //     plain Mu the moment a thief touched the deque.)
 //   - R's spine (membership and left-to-right order) is guarded by an
 //     RWMutex. Only operations that change membership take it exclusively:
-//     Steal (pop-bottom + insert-right must be one linearization point, or
+//     Steal (pop-bottom + insert-left must be one linearization point, or
 //     two thieves hitting one victim could insert their deques in inverted
 //     priority order), deque deletion, and the woken-thread insert. The
 //     read side covers cheap observations — including Steal's screening
@@ -192,7 +205,7 @@ func (pl *SharedPool[T]) retire(w int, d *deque.Deque[T]) {
 func (pl *SharedPool[T]) Seed(root T) {
 	pl.lockList()
 	d := pl.takeFree()
-	pl.r.PushLeftReuse(d)
+	pl.r.InsertReuse(0, d)
 	pl.trace(-1, rtrace.EvDequeCreate, d.ID, -1, 0)
 	if pl.tidOf != nil {
 		pl.trace(-1, rtrace.EvPush, pl.tidOf(root), d.ID, 0)
@@ -223,8 +236,8 @@ func (pl *SharedPool[T]) PushOwn(w int, x T) {
 // PopOwn pops the top of w's deque. The non-empty case is a nonblocking
 // owner-side PopTop (one CAS only when racing a thief for the last item);
 // when the deque turns out empty it is deleted from R under the spine
-// lock (only the owner adds items, and with the spine held no thief's
-// insert-right can target it, so emptiness is stable once observed) and
+// lock (only the owner adds items, and with the spine held no thief can
+// claim from it, so emptiness is stable once observed) and
 // ok is false — the worker must steal next.
 func (pl *SharedPool[T]) PopOwn(w int) (x T, ok bool) {
 	d := pl.own[w].Load()
@@ -253,7 +266,7 @@ func (pl *SharedPool[T]) PopOwn(w int) (x T, ok bool) {
 }
 
 // PopOwnIf pops the top of w's deque only if it is exactly want,
-// reporting whether it did. This is the continuation engine's inline-join
+// reporting whether it did. This is the runtime's inline-join
 // claim: the parent may run its forked child in place of parking only
 // when that child is still the top of the parent's own deque — untouched
 // by thieves and undisplaced by woken threads — and the check and the pop
@@ -305,14 +318,15 @@ func (pl *SharedPool[T]) GiveUp(w int) {
 
 // Steal performs one steal attempt for worker w: pick a uniformly random
 // deque among the leftmost p in R, pop its bottom thread, and become
-// owner of a new deque placed immediately to the victim's right.
+// owner of a new deque placed immediately to the victim's left (see the
+// geometry note on SharedPool).
 //
 // The attempt runs in two phases. A screening phase under the read lock
 // checks the pick exists and its SizeHint is nonzero; the common failed
 // attempt — an out-of-range pick or a provably empty victim — costs no
 // exclusive spine acquisition at all, so a storm of unlucky thieves never
 // serializes the owners' membership changes. Only a promising pick takes
-// the spine exclusively and re-validates: pop-bottom and insert-right
+// the spine exclusively and re-validates: pop-bottom and insert-left
 // form the steal's single linearization point, which is what keeps Lemma
 // 3.1's left-to-right order intact when two thieves race on one victim.
 // The pop itself is the lock-free bottom-word CAS — the victim's owner is
@@ -343,7 +357,7 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 		return x, false
 	}
 	victim := pl.r.Kth(c)
-	pl.trace(w, rtrace.EvStealAttempt, victim.ID, 0, 0)
+	pl.trace(w, rtrace.EvStealAttempt, victim.ID, int64(c), 0)
 	x, ok = victim.PopBottom()
 	if !ok {
 		pl.listMu.Unlock()
@@ -352,7 +366,7 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 	}
 	pl.ready.Add(-1)
 	nd := pl.takeFree()
-	pl.r.InsertRightReuse(victim, nd)
+	pl.r.InsertReuse(victim.Pos(), nd)
 	nd.Owner = w
 	if pl.tidOf != nil {
 		pl.trace(w, rtrace.EvSteal, pl.tidOf(x), victim.ID, nd.ID)
@@ -372,35 +386,32 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 
 // PushWoken places a thread woken by a blocking synchronization into a
 // new deque at its priority position in R (§5's extension beyond the
-// nested-parallel model), on behalf of the waking worker w. It scans R
-// under the spine lock with validated racy PeekTops: each observed top
-// was that deque's top at some instant during the scan, which is the
-// strongest claim any priority placement can make while owners keep
-// running — the paper's R order is itself only instantaneous. A peek that
-// cannot stabilize (its owner is mid-op) is skipped, biasing the insert
-// rightward, which is the safe direction for the space bound.
+// nested-parallel model), on behalf of the waking worker w: left of the
+// first deque whose highest-priority thread — its bottom — x precedes. It
+// scans R under the spine lock with validated racy PeekBottoms: each
+// observed bottom was that deque's bottom at some instant during the
+// scan, which is the strongest claim any priority placement can make
+// while owners keep running — the paper's R order is itself only
+// instantaneous. A peek that cannot stabilize is skipped, and less
+// reports false for a thread that completed since its peek, so both
+// uncertainties bias the insert rightward, the safe direction for the
+// space bound.
 func (pl *SharedPool[T]) PushWoken(w int, x T) {
 	pl.lockList()
 	insertAt := pl.r.Len()
 	for i := 0; i < pl.r.Len(); i++ {
-		top, ok := pl.r.Kth(i).PeekTop()
-		if !ok {
-			continue
-		}
-		if pl.less(x, top) {
+		bottom, ok := pl.r.Kth(i).PeekBottom()
+		if ok && pl.less(x, bottom) {
 			insertAt = i
 			break
 		}
 	}
 	nd := pl.takeFree()
 	var after int64 = -1
-	if insertAt == 0 {
-		pl.r.PushLeftReuse(nd)
-	} else {
-		left := pl.r.Kth(insertAt - 1)
-		after = left.ID
-		pl.r.InsertRightReuse(left, nd)
+	if insertAt > 0 {
+		after = pl.r.Kth(insertAt - 1).ID
 	}
+	pl.r.InsertReuse(insertAt, nd)
 	pl.trace(w, rtrace.EvDequeCreate, nd.ID, after, 1)
 	if pl.tidOf != nil {
 		pl.trace(w, rtrace.EvPush, pl.tidOf(x), nd.ID, 0)
@@ -449,29 +460,63 @@ func (pl *SharedPool[T]) noteR() {
 	}
 }
 
-// CheckInvariants verifies the Lemma 3.1 ordering over the pool's deques,
-// exactly as Pool.CheckInvariants does. The spine lock freezes R's
-// membership and blocks all thieves, and each deque's contents are read
-// through Items' consistent-snapshot loop — but with no per-deque mutex
-// there is nothing left that can freeze a running OWNER. The check is
-// therefore exact when owners are quiescent or push-only (a pushed
-// continuation ranks above its own deque's previous top but below
-// everything in deques to the left, so a concurrent push keeps the pool
+// CheckInvariants verifies the Lemma 3.1 ordering over the pool's deques
+// in the mirrored geometry (see SharedPool): every deque is sorted by
+// decreasing priority from bottom to top, R is ordered left to right
+// (each deque's top precedes the next non-empty deque's bottom), and a
+// running thread has lower priority than its own deque's top. curr gives
+// each worker's currently executing thread (ok=false when idle).
+//
+// The spine lock freezes R's membership and blocks all thieves, and each
+// deque's contents are read through Items' consistent-snapshot loop — but
+// with no per-deque mutex there is nothing left that can freeze a running
+// OWNER. The check is therefore exact when owners are quiescent or
+// push-only (a pushed child ranks below its deque's previous top but
+// above everything in deques to the right, so a concurrent push keeps the
 // order the scan reads); concurrent owner POPS can yield transient false
-// positives, so call it from tests and quiescent moments, as before.
+// positives, so call it from tests and quiescent moments.
 func (pl *SharedPool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
 	pl.lockList()
 	defer pl.listMu.Unlock()
-	shadow := Pool[T]{p: pl.p, less: pl.less}
-	shadow.own = make([]*deque.Deque[T], pl.p)
-	for w := range shadow.own {
+	var havePrev bool
+	var prevTop T
+	for i := 0; i < pl.r.Len(); i++ {
+		d := pl.r.Kth(i)
+		items := d.Items() // bottom..top
+		if len(items) == 0 {
+			// Every operation deletes a deque it empties unless the owner
+			// keeps it; an empty unowned deque would be unstealable dead
+			// weight in R.
+			if d.Owner == -1 {
+				return fmt.Errorf("core: empty deque %d in R is unowned", i)
+			}
+			continue
+		}
+		for j := 1; j < len(items); j++ {
+			if !pl.less(items[j-1], items[j]) {
+				return fmt.Errorf("core: lemma 3.1(1): deque %d unsorted at %d", i, j)
+			}
+		}
+		if havePrev && !pl.less(prevTop, items[0]) {
+			return fmt.Errorf("core: lemma 3.1(3): deque %d out of order", i)
+		}
+		prevTop, havePrev = items[len(items)-1], true
+	}
+	for w := 0; w < pl.p; w++ {
 		// Skip a deque already deleted from R (a worker between its
 		// empty-pop delete and clearing its own pointer): it no longer
 		// participates in R's ordering.
-		if d := pl.own[w].Load(); d != nil && d.InList() {
-			shadow.own[w] = d
+		d := pl.own[w].Load()
+		if d == nil || !d.InList() {
+			continue
+		}
+		x, running := curr(w)
+		if !running {
+			continue
+		}
+		if top, ok := d.PeekTop(); ok && !pl.less(top, x) {
+			return fmt.Errorf("core: lemma 3.1(2): worker %d runs a thread above its deque top", w)
 		}
 	}
-	shadow.r = pl.r
-	return shadow.CheckInvariants(curr)
+	return nil
 }

@@ -103,11 +103,14 @@ func TestSharedStealFromBottom(t *testing.T) {
 	pl := intSharedPool(2, 5)
 	pl.Seed(3)
 	sharedStealUntil(t, pl, 0)
-	pl.PushOwn(0, 2) // deque bottom→top: 3? no — stolen 3 runs; pushed 2 then 1
+	// The stolen 3 runs and forks its children in 1DF order, work-first:
+	// each fork pushes the child, so bottom→top is 1, 2.
 	pl.PushOwn(0, 1)
-	// Thief must take the bottom (lowest priority pushed first): 2.
-	if got := sharedStealUntil(t, pl, 1); got != 2 {
-		t.Fatalf("thief stole %d, want bottom item 2", got)
+	pl.PushOwn(0, 2)
+	// Thief must take the bottom — the highest-priority, first-forked
+	// child: 1.
+	if got := sharedStealUntil(t, pl, 1); got != 1 {
+		t.Fatalf("thief stole %d, want bottom item 1", got)
 	}
 }
 
@@ -115,8 +118,8 @@ func TestSharedPushWokenOrdering(t *testing.T) {
 	pl := intSharedPool(4, 6)
 	pl.Seed(5)
 	sharedStealUntil(t, pl, 0)
-	pl.PushOwn(0, 6)
-	pl.PushWoken(0, 2) // higher priority than 6 → left of the deque holding 6
+	pl.PushOwn(0, 4)   // 5's forked child: higher priority than its parent
+	pl.PushWoken(0, 2) // higher priority than 4 → left of the deque holding 4
 	pl.PushWoken(0, 9) // lower priority → right end
 	if err := pl.CheckInvariants(func(w int) (int, bool) {
 		if w == 0 {
@@ -130,6 +133,39 @@ func TestSharedPushWokenOrdering(t *testing.T) {
 	// counts from the left) grabs 2 first.
 	if got := sharedStealUntil(t, pl, 1); got != 2 {
 		t.Fatalf("leftmost steal got %d, want 2", got)
+	}
+}
+
+// TestSharedStealPlacesThiefLeft drives the work-first engine's fork
+// order through a steal and checks Lemma 3.1 in the mirrored geometry. A
+// running thread's forked children precede it in the 1DF order (smaller
+// ints here), so worker 0's deque holds its children bottom→top 10, 20
+// while it runs 100. A thief takes the bottom, 10, and forks 5. 5
+// precedes 20 — the thread the victim still holds — so the thief's deque
+// must sit left of the victim's. A deque inserted to the victim's right
+// puts 5 right of 20 and fails the check.
+func TestSharedStealPlacesThiefLeft(t *testing.T) {
+	pl := intSharedPool(2, 12)
+	pl.Seed(100)
+	if got := sharedStealUntil(t, pl, 0); got != 100 {
+		t.Fatalf("stole %d, want the root 100", got)
+	}
+	pl.PushOwn(0, 10)
+	pl.PushOwn(0, 20)
+	if got := sharedStealUntil(t, pl, 1); got != 10 {
+		t.Fatalf("thief stole %d, want the victim's bottom 10", got)
+	}
+	pl.PushOwn(1, 5)
+	if pl.Deques() != 2 {
+		t.Fatalf("Deques = %d, want 2 (the victim's and the thief's)", pl.Deques())
+	}
+	idle := func(int) (int, bool) { return 0, false }
+	if err := pl.CheckInvariants(idle); err != nil {
+		t.Fatalf("R out of order after the steal: %v", err)
+	}
+	running := func(w int) (int, bool) { return [...]int{100, 10}[w], true }
+	if err := pl.CheckInvariants(running); err != nil {
+		t.Fatalf("invariants with both workers running: %v", err)
 	}
 }
 

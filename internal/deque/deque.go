@@ -339,7 +339,7 @@ func (d *Deque[T]) PopTop() (T, bool) {
 }
 
 // PopTopIf removes the top item only if it equals want, reporting whether
-// it did (owner operation). This is the continuation engine's inline-join
+// it did (owner operation). This is the runtime's inline-join
 // pop: the owner may only claim its own forked child if nothing — a thief,
 // a woken thread — has displaced it from the deque top, and the check and
 // the pop must share one linearization point or a racing bottom-steal of
@@ -523,16 +523,6 @@ func (l *List[T]) PushLeft() *Deque[T] {
 	return d
 }
 
-// PushLeftReuse inserts d — a fresh or Reset freelist deque not in any
-// list — at the left end of R. Schedulers with deque freelists use the
-// *Reuse variants to keep membership changes allocation-free.
-func (l *List[T]) PushLeftReuse(d *Deque[T]) {
-	if d.list != nil {
-		panic("deque: PushLeftReuse deque already in a list")
-	}
-	l.insertAt(0, d)
-}
-
 // PushRight creates a new deque at the right end of R and returns it.
 func (l *List[T]) PushRight() *Deque[T] {
 	d := NewDeque[T]()
@@ -551,16 +541,16 @@ func (l *List[T]) InsertRight(victim *Deque[T]) *Deque[T] {
 	return d
 }
 
-// InsertRightReuse inserts d — a fresh or Reset freelist deque not in any
-// list — immediately to the right of victim (which must be in R).
-func (l *List[T]) InsertRightReuse(victim, d *Deque[T]) {
-	if victim.list != l {
-		panic("deque: InsertRightReuse victim not in this list")
-	}
+// InsertReuse inserts d — a fresh or Reset freelist deque not in any
+// list — at index i of R (0 = the left end, Len() = the right end), so
+// the deque previously at index i and everything right of it shift one
+// place right. Schedulers with deque freelists use it to keep membership
+// changes allocation-free.
+func (l *List[T]) InsertReuse(i int, d *Deque[T]) {
 	if d.list != nil {
-		panic("deque: InsertRightReuse deque already in a list")
+		panic("deque: InsertReuse deque already in a list")
 	}
-	l.insertAt(victim.pos+1, d)
+	l.insertAt(i, d)
 }
 
 func (l *List[T]) insertAt(i int, d *Deque[T]) {

@@ -87,8 +87,8 @@ func (b *Budget) Remaining() int64 {
 // charge moves the group balance by n bytes and reports whether a
 // positive charge landed past the limit. It only accounts — enforcement
 // (Job.budgetKill) happens at the call site, outside the scheduling-event
-// critical section, because cancel takes extMu and the channel engine
-// charges from inside beginEvent/endEvent.
+// critical section, because cancel takes extMu, which must not nest
+// inside the coarse-mode global lock.
 func (b *Budget) charge(n int64) (exceeded bool) {
 	v := b.live.Add(n)
 	if n <= 0 {

@@ -31,23 +31,17 @@ type crossPolicy struct {
 	k    int64
 }
 
-// crossEngine is one real-runtime execution configuration: the lock
-// engine (fine-grained vs the §5 coarse global lock) crossed with the
-// frame engine (work-first continuations vs legacy channel frames). The
-// policy layer underneath is shared, so every invariant checked here
-// must hold on all four.
+// crossEngine is one real-runtime synchronization configuration: the
+// fine-grained default or the §5 coarse global lock. The policy layer
+// underneath is shared, so every invariant checked here must hold on
+// both.
 type crossEngine struct {
-	name            string
-	coarse, channel bool
+	name   string
+	coarse bool
 }
 
 func crossEngines() []crossEngine {
-	return []crossEngine{
-		{"fine/cont", false, false},
-		{"fine/channel", false, true},
-		{"coarse/cont", true, false},
-		{"coarse/channel", true, true},
-	}
+	return []crossEngine{{"fine", false}, {"coarse", true}}
 }
 
 func crossPolicies() []crossPolicy {
@@ -110,7 +104,7 @@ func TestCrossEngineInvariants(t *testing.T) {
 					for _, eng := range crossEngines() {
 						st, err := grt.RunSpec(grt.Config{
 							Workers: workers, Sched: pol.kind, K: pol.k,
-							Seed: 42, CoarseLock: eng.coarse, ChannelFrames: eng.channel,
+							Seed: 42, CoarseLock: eng.coarse,
 						}, spec, 1)
 						if err != nil {
 							t.Fatalf("runtime %s: %v", eng.name, err)

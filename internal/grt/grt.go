@@ -25,29 +25,19 @@
 // fork, join on a live child, quota-checked allocation, lock block, dummy
 // execution, and termination.
 //
-// Execution engines. The runtime has two ways to give a thread a stack:
-//
-//   - The continuation engine (default) is work-first: Fork publishes the
-//     *child* and the parent keeps running inline; Join claims the child
-//     back with a conditional pop and runs its body inline in the
-//     parent's own frame when nothing — a thief, a woken thread — has
-//     displaced it. A goroutine (stack + channel pair) is promoted lazily,
-//     only when a thread is actually dispatched by a worker (it was stolen
-//     or woken) or blocks mid-inline-run, so a never-stolen fork+join
-//     costs two deque operations and zero allocations in steady state —
-//     the "pay synchronization only on steals" discipline.
-//   - The channel-frame engine (Config.ChannelFrames) is the legacy
-//     scheduler-first core: every thread gets a goroutine at first
-//     dispatch and every scheduling event is a channel round-trip to the
-//     worker. It is kept behind the flag for differential testing, the
-//     way CoarseLock keeps the paper's §5 locking protocol.
-//
-// Both engines drive the same policies through the same worker loop and
-// produce identical schedules up to the inline/parked distinction; the
-// trace verifier (internal/rtrace) checks both against Lemma 3.1.
+// Execution is work-first: Fork publishes the *child* and the parent
+// keeps running inline; Join claims the child back with a conditional pop
+// and runs its body inline in the parent's own frame when nothing — a
+// thief, a woken thread — has displaced it. A goroutine (stack + channel
+// pair) is promoted lazily, only when a thread is actually dispatched by
+// a worker (it was stolen or woken) or blocks mid-inline-run, so a
+// never-stolen fork+join costs two deque operations and zero allocations
+// in steady state — the "pay synchronization only on steals" discipline.
+// The trace verifier (internal/rtrace) checks the resulting schedules
+// against Lemma 3.1.
 //
 // Workers hand threads off synchronously: a worker resumes a thread's
-// goroutine and sleeps until the thread reports its next scheduling event,
+// goroutine and sleeps until the thread reports its next blocking event,
 // so at most Workers user goroutines execute user code at any instant —
 // the runtime schedules threads, not the Go scheduler.
 //
@@ -127,15 +117,6 @@ type Config struct {
 	// other; CoarseLock exists for that comparison and for measuring the
 	// contention the paper describes.
 	CoarseLock bool
-	// ChannelFrames selects the legacy channel-frame execution engine:
-	// every thread is a goroutine from its first dispatch and every
-	// scheduling event is a yield/resume channel round-trip. The default
-	// (false) is the work-first continuation engine — forks run inline and
-	// goroutine frames are promoted only on steal or block. The two
-	// engines produce the same results on the same workloads and are
-	// differentially tested against each other; ChannelFrames exists for
-	// that comparison and for measuring what the work-first refactor buys.
-	ChannelFrames bool
 	// MeasureContention enables the wall-clock contention counters in
 	// Stats (StealWaitNs, SchedLockNs). Off by default: timing every
 	// critical section costs two clock reads per scheduling event, which
@@ -171,37 +152,29 @@ type Stats struct {
 	StealWaitNs  int64 // total ns idle workers spent acquiring a thread
 }
 
+// evKind is a blocking event a thread yields to its worker. Everything
+// that does not block — forks, allocations, frees, touches, unlocks,
+// future writes — runs inline as agent of the worker.
 type evKind uint8
 
 const (
-	evFork evKind = iota
-	evJoin
-	evAlloc
-	evAllocExempt
-	evFree
+	evJoin evKind = iota
 	evLock
-	evUnlock
-	evFutureSet
 	evFutureGet
-	evDummy
-	evTouch
 	evDone
-	// evPreempt is the continuation engine's quota-exhaustion park: the
-	// thread found Charge vetoing its allocation inline and suspends so
-	// the worker can republish it (§3.3, "memory quota exhausted"). The
-	// channel engine expresses the same transition worker-side in evAlloc.
+	// evPreempt is the quota-exhaustion park: the thread found Charge
+	// vetoing its allocation inline and suspends so the worker can
+	// republish it (§3.3, "memory quota exhausted").
 	evPreempt
 )
 
 type event struct {
 	kind  evKind
-	self  *T      // the thread that yielded the event: under the continuation engine an inline frame, not necessarily the one the worker dispatched
-	child *T      // evFork
-	n     int64   // evAlloc/evFree/evTouch/evPreempt bytes
-	blk   int32   // evTouch block
-	mu    *Mutex  // evLock/evUnlock
-	fut   *Future // evFutureSet/evFutureGet
-	val   any     // evFutureSet
+	self  *T      // the thread that yielded the event: an inline frame, not necessarily the one the worker dispatched
+	child *T      // evJoin
+	n     int64   // evPreempt bytes
+	mu    *Mutex  // evLock
+	fut   *Future // evFutureGet
 }
 
 // T is a user-level thread handle, passed to every thread body. Methods on
@@ -214,8 +187,8 @@ type T struct {
 	resume chan struct{}
 	yield  chan event
 	// started flips once, when the thread first gets a stack: the worker
-	// dispatch that spawns its goroutine (both engines), or the first
-	// blocking park of a frame running inline (continuation engine). It is
+	// dispatch that spawns its goroutine, or the first blocking park of a
+	// frame running inline. It is
 	// atomic because the inline-join guard reads it while a thief may be
 	// concurrently dispatching the thread; the reading side never trusts
 	// it alone — the conditional pop (policy.JoinPop) arbitrates.
@@ -224,7 +197,7 @@ type T struct {
 	root    bool  // job root: released by evDone (nothing ever joins it)
 	tid     int64 // stable trace id: first root is 1, then submit/fork order
 
-	// Continuation-engine frame state. w is the worker currently driving
+	// Frame state. w is the worker currently driving
 	// the thread (set by the dispatching worker before resuming, and
 	// propagated chain-upward when an inline join returns): inline code
 	// traces and consults per-worker policy state as agent of worker w
@@ -241,18 +214,12 @@ type T struct {
 	// Owned by the thread goroutine:
 	unjoined []*T
 
-	// retryAlloc is set by the worker when a quota veto preempted the
-	// thread's allocation: Alloc must re-attempt after resumption. Written
-	// by the worker before the thread is re-published; read by the thread
-	// after its resume (the channel handoff orders the accesses).
-	retryAlloc bool
-
 	// stateMu guards the done/waiter arbitration. It is the join
 	// protocol's only synchronization in fine-grained mode and is also
 	// taken (as a leaf lock) under the global lock in coarse mode, so
-	// both modes share one protocol. done itself is atomic so the
-	// continuation engine's join fast path can poll it without paying a
-	// lock cycle; the waiter handoff still arbitrates under stateMu.
+	// both modes share one protocol. done itself is atomic so the join
+	// fast path can poll it without paying a lock cycle; the waiter
+	// handoff still arbitrates under stateMu.
 	stateMu sync.Mutex
 	done    atomic.Bool
 	waiter  *T
@@ -304,11 +271,6 @@ func (t *T) isDone() bool {
 type Runtime struct {
 	cfg Config
 
-	// cont caches !cfg.ChannelFrames for the fork/join hot paths: true is
-	// the work-first continuation engine, false the legacy channel-frame
-	// engine.
-	cont bool
-
 	// pol is the scheduling policy: it owns every ready-thread decision.
 	// The policies are internally synchronized (fine-grained); threshold
 	// caches pol.Threshold() for the Alloc hot path.
@@ -344,7 +306,9 @@ type Runtime struct {
 	jobs     map[int64]*Job
 	draining bool
 
-	// prioMu guards the om priority list for every policy (leaf lock).
+	// prioMu guards the om priority list for every policy (leaf lock), and
+	// every thread's prio field: a pool comparing two threads may hold a
+	// stale pointer to one that has since completed (see prioLess).
 	prioMu sync.RWMutex
 	prios  om.List
 
@@ -390,7 +354,7 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	rt := &Runtime{cfg: cfg, cont: !cfg.ChannelFrames, jobs: make(map[int64]*Job)}
+	rt := &Runtime{cfg: cfg, jobs: make(map[int64]*Job)}
 	rt.cond = sync.NewCond(&rt.mu)
 	less := func(a, b *T) bool { return rt.prioLess(a, b) }
 	switch cfg.Sched {
@@ -413,13 +377,9 @@ func New(cfg Config) (*Runtime, error) {
 		// *rtrace.Recorder directly, or an rtrace.Tee that forwards to the
 		// recorders inside it.
 		if rec, ok := cfg.Probe.(interface{ SetMeta(rtrace.Meta) }); ok {
-			engine := "channel"
-			if rt.cont {
-				engine = "cont"
-			}
 			rec.SetMeta(rtrace.Meta{
 				Policy: rt.pol.Name(), Workers: cfg.Workers,
-				K: rt.threshold, Seed: cfg.Seed, Engine: engine,
+				K: rt.threshold, Seed: cfg.Seed,
 			})
 		}
 		// Every policy implements Instrument; the interface assertion
@@ -482,7 +442,7 @@ func (rt *Runtime) submit(ctx context.Context, root func(*T), opts SubmitOpts) (
 	rt.jobs[j.id] = j
 	rt.jobsMu.Unlock()
 
-	rootT.prio = rt.prioPushBack()
+	rt.prioPushBack(rootT)
 	rootT.tid = rt.tids.Add(1)
 	rt.live.Add(1)
 	rt.trace(-1, rtrace.EvJobBegin, j.id, rootT.tid, 0)
@@ -624,24 +584,19 @@ func (rt *Runtime) Stats(js JobStats) Stats {
 // goes back to the pool once the last reference lets go — the joining
 // parent for ordinary threads (Join), the terminating worker for job
 // roots (evDone) — so the fork hot path allocates nothing in steady
-// state. Under the continuation engine a frame is born bare (the common
-// inline fork+join never needs a channel pair); the channel engine
-// allocates the pair at newT, and a promoted frame keeps its own pair
-// across recycling. At release the goroutine has fully drained both
-// channels (death always passes through the evDone handoff), so a
-// recycled frame starts from the same quiescent channel state as a fresh
-// one; borrowed pairs (an inline frame promoted mid-run borrows its
-// chain base's channels) are returned to nil instead.
+// state. A frame is born bare (the common inline fork+join never needs a
+// channel pair), and a promoted frame keeps its own pair across
+// recycling. At release the goroutine has fully drained both channels
+// (death always passes through the evDone handoff), so a recycled frame
+// starts from the same quiescent channel state as a fresh one; borrowed
+// pairs (an inline frame promoted mid-run borrows its chain base's
+// channels) are returned to nil instead.
 var tPool = sync.Pool{New: func() any { return &T{} }}
 
 func (rt *Runtime) newT(body func(*T)) *T {
 	t := tPool.Get().(*T)
 	t.rt = rt
 	t.body = body
-	if !rt.cont && t.resume == nil {
-		t.resume = make(chan struct{}, 1)
-		t.yield = make(chan event)
-	}
 	return t
 }
 
@@ -649,11 +604,11 @@ func (rt *Runtime) newT(body func(*T)) *T {
 // the frame's last referent: the parent after Join observed isDone, or
 // the evDone handler for a job root. Threads of a canceled job whose
 // parents unwound without joining are simply never released — the
-// garbage collector reclaims them, as before pooling.
+// garbage collector reclaims them, as before pooling. prio is already nil:
+// completion cleared it under prioMu.
 func releaseT(t *T) {
 	t.job = nil
 	t.body = nil
-	t.prio = nil
 	t.started.Store(false)
 	t.dummy = false
 	t.root = false
@@ -661,7 +616,6 @@ func releaseT(t *T) {
 	t.w = 0
 	t.base = nil
 	t.unjoined = t.unjoined[:0]
-	t.retryAlloc = false
 	t.done.Store(false)
 	t.waiter = nil
 	if t.borrowed {
@@ -671,10 +625,10 @@ func releaseT(t *T) {
 	tPool.Put(t)
 }
 
-// noteFork does the bookkeeping common to both modes when child is forked
-// by curr: priority insertion, trace id, and thread counters.
+// noteFork does the bookkeeping when child is forked by curr: priority
+// insertion, trace id, and thread counters.
 func (rt *Runtime) noteFork(curr, child *T) {
-	child.prio = rt.prioInsertBefore(curr.prio)
+	rt.prioInsertBefore(child, curr)
 	child.tid = rt.tids.Add(1)
 	rt.live.Add(1)
 	j := curr.job
@@ -707,53 +661,64 @@ func atomicMax(a *atomic.Int64, v int64) {
 //
 // The om list is not safe for concurrent use, and its relabeling moves
 // tags of records other than the one being inserted, so even Less needs
-// protection. prioMu is a leaf lock in both modes.
+// protection. prioMu is a leaf lock in both modes, and every write of a
+// thread's prio field happens under it.
 
-func (rt *Runtime) prioPushBack() *om.Record {
+// prioPushBack gives t the lowest priority (a new job root).
+func (rt *Runtime) prioPushBack(t *T) {
 	rt.prioMu.Lock()
 	defer rt.prioMu.Unlock()
-	return rt.prios.PushBack()
+	t.prio = rt.prios.PushBack()
 }
 
-func (rt *Runtime) prioInsertBefore(r *om.Record) *om.Record {
+// prioInsertBefore gives child the priority immediately above parent's.
+func (rt *Runtime) prioInsertBefore(child, parent *T) {
 	rt.prioMu.Lock()
 	defer rt.prioMu.Unlock()
-	return rt.prios.InsertBefore(r)
+	child.prio = rt.prios.InsertBefore(parent.prio)
 }
 
-func (rt *Runtime) prioDelete(r *om.Record) {
+// prioDelete retires a completed thread's priority record.
+func (rt *Runtime) prioDelete(t *T) {
 	rt.prioMu.Lock()
 	defer rt.prioMu.Unlock()
-	rt.prios.Delete(r)
+	rt.prios.Delete(t.prio)
+	t.prio = nil
 }
 
+// prioLess reports whether a has higher 1DF priority than b. A pool
+// comparing against a thread it peeked off a deque end can race that
+// thread's owner: the owner pops it, runs it inline and completes it,
+// retiring its record, before the comparison runs. A retired record is
+// no anchor at all, so the comparison reports false and the caller
+// treats it like a peek that did not stabilize.
 func (rt *Runtime) prioLess(a, b *T) bool {
 	rt.prioMu.RLock()
 	defer rt.prioMu.RUnlock()
+	if a.prio == nil || b.prio == nil {
+		return false
+	}
 	return om.Less(a.prio, b.prio)
 }
 
 // ---- Thread-side API -----------------------------------------------------
 
-// step resumes t on worker w and waits for its next scheduling event.
-// Only the worker currently responsible for t may call it. This is the
-// continuation engine's promotion point for dispatched threads: a thread
-// reaches a worker only by being stolen, woken, or injected, and only
-// then does it get a goroutine (and, if it never had one, a channel
-// pair). Setting t.w first is what lets the resumed thread's inline code
-// act as agent of worker w — the channel handoff orders the write against
-// every thread-side read.
+// step resumes t on worker w and waits for its next blocking event. Only
+// the worker currently responsible for t may call it. This is the
+// promotion point for dispatched threads: a thread reaches a worker only
+// by being stolen, woken, or injected, and only then does it get a
+// goroutine (and, if it never had one, a channel pair). Setting t.w first
+// is what lets the resumed thread's inline code act as agent of worker w
+// — the channel handoff orders the write against every thread-side read.
 func (rt *Runtime) step(w int, t *T) event {
 	t.w = w
 	if !t.started.Load() {
-		if rt.cont {
-			if t.resume == nil {
-				t.resume = make(chan struct{}, 1)
-				t.yield = make(chan event)
-			}
-			t.base = t
-			rt.trace(w, rtrace.EvPromote, t.tid, 0, 0)
+		if t.resume == nil {
+			t.resume = make(chan struct{}, 1)
+			t.yield = make(chan event)
 		}
+		t.base = t
+		rt.trace(w, rtrace.EvPromote, t.tid, 0, 0)
 		t.started.Store(true)
 		go t.main()
 	}
@@ -768,15 +733,16 @@ func (rt *Runtime) step(w int, t *T) event {
 }
 
 // park suspends an inline-running thread to its chain's worker: the
-// continuation engine's blocking path (join on a live child, contended
-// lock, unset future, exhausted quota). The first park promotes the frame
+// blocking path (join on a live child, contended lock, unset future,
+// exhausted quota). The first park of a frame running inline promotes it
 // — it borrows the chain base's channel pair and counts as started, so no
-// later join can claim it inline — and from then on the frame parks and
-// resumes like a channel-engine thread. The worker publishing/queuing of
-// the frame happens pump-side after the yield is received: the thread
-// must never publish its own frame while still running, or a second
-// worker could dispatch it and the base's channels would have two
-// receivers.
+// later join can claim it inline. If the job was poisoned, resumption
+// kills the thread instead of returning to user code: the sentinel panic
+// unwinds the goroutine (running user defers on the way) and main
+// reports the termination. The worker publishes or queues the frame
+// after it receives the yield: the thread must never publish its own
+// frame while still running, or a second worker could dispatch it and
+// the base's channels would have two receivers.
 func (t *T) park(ev event) {
 	if !t.started.Load() {
 		t.resume = t.base.resume
@@ -788,13 +754,11 @@ func (t *T) park(ev event) {
 	ev.self = t
 	t.yield <- ev
 	<-t.resume
-	if t.job.poisoned.Load() {
-		panic(poisonSentinel)
-	}
+	t.checkPoison()
 }
 
 // poisonSentinel is the panic value that unwinds a poisoned thread's
-// goroutine: when a canceled job's thread is resumed, do panics with it,
+// goroutine: when a canceled job's thread is resumed, park panics with it,
 // user frames unwind (their defers run), and main's recover swallows it —
 // a poison unwind is the cancellation working, not a failure.
 type poisonUnwind struct{}
@@ -827,63 +791,57 @@ func (t *T) main() {
 	}
 }
 
-// do yields an event to the current worker and blocks until resumed. If
-// the job was poisoned, resumption kills the thread instead of returning
-// to user code: the sentinel panic unwinds the goroutine (running user
-// defers on the way) and main reports the termination.
-func (t *T) do(ev event) {
-	ev.self = t
-	t.yield <- ev
-	<-t.resume
+// checkPoison kills the calling thread if its job was canceled: every
+// scheduling point calls it first, so a poisoned thread dies at its next
+// fork, join, allocation, free, touch, lock, future access or dummy.
+func (t *T) checkPoison() {
 	if t.job.poisoned.Load() {
 		panic(poisonSentinel)
 	}
 }
 
-// Fork creates a child thread running body. The child preempts the parent
-// under the depth-first schedulers; under FIFO the parent continues. The
-// returned handle must be passed to Join before the parent returns.
+// Fork creates a child thread running body and publishes it; the parent
+// keeps running (work-first). The returned handle must be passed to Join
+// before the parent returns. No yield, no channel handoff, no goroutine:
+// the forking thread does the bookkeeping as agent of its worker (which
+// is parked in step while the thread runs, so per-worker policy state has
+// a single toucher).
 func (t *T) Fork(body func(*T)) *T {
 	return t.fork(body, false)
 }
 
 func (t *T) fork(body func(*T), dummy bool) *T {
-	child := t.rt.newT(body)
+	t.checkPoison()
+	rt := t.rt
+	child := rt.newT(body)
 	child.job = t.job
 	child.dummy = dummy
 	t.unjoined = append(t.unjoined, child)
-	if t.rt.cont {
-		t.forkCont(child)
-	} else {
-		t.do(event{kind: evFork, child: child})
-	}
-	return child
-}
-
-// forkCont is the continuation engine's fork: publish the child, keep
-// running the parent — no yield, no channel handoff, no goroutine. The
-// bookkeeping is exactly the worker pump's evFork handler, run by the
-// forking thread as agent of its worker (which is parked in step while
-// the thread runs, so per-worker policy state has a single toucher).
-func (t *T) forkCont(child *T) {
-	if t.job.poisoned.Load() {
-		panic(poisonSentinel)
-	}
-	rt := t.rt
 	gl := rt.beginEvent()
 	rt.noteFork(t, child)
-	var dummy int64
-	if child.dummy {
-		dummy = 1
+	var d int64
+	if dummy {
+		d = 1
 	}
-	rt.trace(t.w, rtrace.EvFork, t.tid, child.tid, dummy)
-	rt.pol.ForkCont(t.w, t, child)
+	rt.trace(t.w, rtrace.EvFork, t.tid, child.tid, d)
+	rt.pol.Fork(t.w, child)
 	rt.endEvent(gl)
 	rt.wakeIdlers()
+	return child
 }
 
 // Join waits for the most recent unjoined child (which must equal h) to
 // terminate. Joins are LIFO, matching the nested-parallel model.
+//
+// The work-first payoff is the inline claim: if the child is still
+// exactly where Fork put it — the top of this worker's own deque,
+// untouched by thieves, undisplaced by woken threads — the conditional
+// pop removes it there and the parent runs the child's body in its own
+// frame, paying no channel handoff and no goroutine. Otherwise the child
+// is live elsewhere (stolen, or a global-queue policy owns it) and the
+// parent parks. Dummy children are never claimed inline: the §3.3
+// dummy-termination give-up must run worker-side (Terminate), so they
+// always promote.
 //
 // Join is a child frame's release point: once isDone is observed the
 // joining parent holds the last reference (the terminating worker stops
@@ -894,44 +852,18 @@ func (t *T) Join(h *T) {
 		panic("grt: Join order must be LIFO with the thread's own children")
 	}
 	t.unjoined = t.unjoined[:len(t.unjoined)-1]
-	if t.rt.cont {
-		t.joinCont(h)
-		return
-	}
-	for {
-		if h.isDone() {
-			releaseT(h)
-			return
-		}
-		t.do(event{kind: evJoin, child: h})
-	}
-}
-
-// joinCont is the continuation engine's join. The work-first payoff is
-// the inline claim: if the child is still exactly where forkCont put it —
-// the top of this worker's own deque, untouched by thieves, undisplaced
-// by woken threads — the conditional pop removes it there and the parent
-// runs the child's body in its own frame, paying no channel handoff and
-// no goroutine. Otherwise the child is live elsewhere (stolen, or a
-// global-queue policy owns it) and the parent parks like a
-// channel-engine thread. Dummy children are never claimed inline: the
-// §3.3 dummy-termination give-up must run pump-side (Terminate), so they
-// always promote.
-func (t *T) joinCont(h *T) {
 	rt := t.rt
 	for {
 		if h.isDone() {
 			releaseT(h)
 			return
 		}
-		if t.job.poisoned.Load() {
-			panic(poisonSentinel)
-		}
+		t.checkPoison()
 		gl := rt.beginEvent()
 		if !h.dummy && !h.started.Load() && rt.pol.JoinPop(t.w, h) {
 			// The parent logically suspends and the child is dispatched
-			// in its place — the same block/dispatch pair the pump emits,
-			// so dispatch conservation holds identically in both engines.
+			// in its place — the same block/dispatch pair a parked join
+			// produces, so dispatch conservation holds either way.
 			rt.trace(t.w, rtrace.EvBlock, t.tid, rtrace.BlockJoin, h.tid)
 			rt.trace(t.w, rtrace.EvDispatch, h.tid, rtrace.SrcInline, 0)
 			rt.endEvent(gl)
@@ -947,7 +879,7 @@ func (t *T) joinCont(h *T) {
 }
 
 // joinInline runs the claimed child's body in the parent's goroutine. The
-// completion bookkeeping mirrors the pump's evDone handler minus the
+// completion bookkeeping mirrors the worker's evDone handler minus the
 // impossible cases: an inline child cannot be a job root, cannot have a
 // registered waiter (only its parent joins it, and the parent is here),
 // and cannot be its job's last live thread (the parent is still live).
@@ -967,8 +899,7 @@ func (t *T) joinInline(c *T) {
 		gl := rt.beginEvent()
 		rt.trace(c.w, rtrace.EvComplete, c.tid, 0, 0)
 		rt.endEvent(gl)
-		rt.prioDelete(c.prio)
-		c.prio = nil
+		rt.prioDelete(c)
 		// finish() reduced to its atomic half: an inline child can have
 		// no registered waiter (only its parent joins it, and the parent
 		// is running this call), so there is no handoff to arbitrate.
@@ -993,7 +924,9 @@ func (t *T) ForkJoin(body func(*T)) {
 // Alloc charges n bytes against the runtime's heap accounting and the
 // scheduler's memory quota. Allocations larger than the memory threshold K
 // first fork the paper's dummy-thread tree (§3.3), delaying the allocation
-// so higher-priority threads can run.
+// so higher-priority threads can run. The quota is charged inline; a veto
+// parks the thread (the worker republishes it, §3.3) and the loop retries
+// after redispatch refills the quota.
 func (t *T) Alloc(n int64) {
 	if n <= 0 {
 		return
@@ -1001,13 +934,7 @@ func (t *T) Alloc(n int64) {
 	rt := t.rt
 	if k := rt.threshold; k > 0 && n > k {
 		t.forkDummies(policy.DummyLeaves(n, k))
-		if !rt.cont {
-			t.do(event{kind: evAllocExempt, n: n})
-			return
-		}
-		if t.job.poisoned.Load() {
-			panic(poisonSentinel)
-		}
+		t.checkPoison()
 		if rtrace.Enabled && rt.probe != nil {
 			gl := rt.beginEvent()
 			rt.trace(t.w, rtrace.EvAllocExempt, t.tid, n, policy.DummyLeaves(n, k))
@@ -1018,24 +945,8 @@ func (t *T) Alloc(n int64) {
 		}
 		return
 	}
-	if !rt.cont {
-		for {
-			t.do(event{kind: evAlloc, n: n})
-			if !t.retryAlloc {
-				return
-			}
-			// The worker vetoed the allocation (quota exhausted) and this
-			// thread has just been redispatched with a fresh quota: retry.
-			t.retryAlloc = false
-		}
-	}
-	// Continuation engine: charge the quota inline; a veto parks the
-	// thread (the pump republishes it, §3.3) and the loop retries after
-	// redispatch refills the quota.
 	for {
-		if t.job.poisoned.Load() {
-			panic(poisonSentinel)
-		}
+		t.checkPoison()
 		gl := rt.beginEvent()
 		if rt.pol.Charge(t.w, n) {
 			rt.trace(t.w, rtrace.EvAlloc, t.tid, n, 0)
@@ -1061,16 +972,10 @@ func (t *T) Touch(blk int32, bytes int64) {
 	if !rtrace.Enabled || t.rt.probe == nil || blk == 0 || bytes <= 0 {
 		return
 	}
-	if t.rt.cont {
-		if t.job.poisoned.Load() {
-			panic(poisonSentinel)
-		}
-		gl := t.rt.beginEvent()
-		t.rt.trace(t.w, rtrace.EvTouch, t.tid, int64(blk), bytes)
-		t.rt.endEvent(gl)
-		return
-	}
-	t.do(event{kind: evTouch, blk: blk, n: bytes})
+	t.checkPoison()
+	gl := t.rt.beginEvent()
+	t.rt.trace(t.w, rtrace.EvTouch, t.tid, int64(blk), bytes)
+	t.rt.endEvent(gl)
 }
 
 // Free returns n bytes to the heap accounting (and the quota, which
@@ -1080,23 +985,17 @@ func (t *T) Free(n int64) {
 		return
 	}
 	rt := t.rt
-	if rt.cont {
-		if t.job.poisoned.Load() {
-			panic(poisonSentinel)
-		}
-		gl := rt.beginEvent()
-		rt.trace(t.w, rtrace.EvFree, t.tid, n, 0)
-		rt.pol.Credit(t.w, n)
-		rt.endEvent(gl)
-		t.job.charge(-n)
-		return
-	}
-	t.do(event{kind: evFree, n: n})
+	t.checkPoison()
+	gl := rt.beginEvent()
+	rt.trace(t.w, rtrace.EvFree, t.tid, n, 0)
+	rt.pol.Credit(t.w, n)
+	rt.endEvent(gl)
+	t.job.charge(-n)
 }
 
 // forkDummies forks a binary tree with n dummy leaves and joins it — the
 // same shape policy.SplitDummies gives the simulator's transformation, so
-// thread and dummy counts agree across engines.
+// thread and dummy counts agree between the simulator and the runtime.
 func (t *T) forkDummies(n int64) {
 	if n == 1 {
 		h := t.fork(func(c *T) {
@@ -1113,20 +1012,12 @@ func (t *T) forkDummies(n int64) {
 	t.Join(h)
 }
 
-// dummyPoint is a dummy leaf's one scheduling event (§3.3). Under the
-// channel engine it is a pump round-trip; under the continuation engine
-// the dummy is always goroutine-backed (joinCont never claims a dummy
-// inline), so the give-up mark is set inline as agent of the dispatching
-// worker and consumed by that worker's Terminate right after the dummy's
-// evDone.
+// dummyPoint is a dummy leaf's one scheduling event (§3.3). The dummy is
+// always goroutine-backed (Join never claims a dummy inline), so the
+// give-up mark is set inline as agent of the dispatching worker and
+// consumed by that worker's Terminate right after the dummy's evDone.
 func (t *T) dummyPoint() {
-	if !t.rt.cont {
-		t.do(event{kind: evDummy})
-		return
-	}
-	if t.job.poisoned.Load() {
-		panic(poisonSentinel)
-	}
+	t.checkPoison()
 	gl := t.rt.beginEvent()
 	t.rt.trace(t.w, rtrace.EvDummy, t.tid, 0, 0)
 	t.rt.pol.Dummy(t.w)

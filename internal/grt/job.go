@@ -191,9 +191,19 @@ func (j *Job) Cancel() bool {
 // death wakes its waiter through the normal join protocol. Idempotent;
 // reports whether this call was the one that poisoned the job.
 func (j *Job) cancel(reason error) bool {
-	if !j.poisoned.CompareAndSwap(false, true) {
+	// The cancel is recorded before the poison is published, both under
+	// extMu (which also makes the check-and-set one step against other
+	// cancels): a worker that sees the poison can kill the job's last
+	// thread and record the job's end at once, and the replay must meet
+	// the cancel first.
+	rt := j.rt
+	rt.extMu.Lock()
+	if j.poisoned.Load() {
+		rt.extMu.Unlock()
 		return false
 	}
+	rt.trace(-1, rtrace.EvJobCancel, j.id, 0, 0)
+	j.poisoned.Store(true)
 	j.fail(reason)
 
 	// Snapshot the parked threads under j.mu, then republish outside it:
@@ -209,9 +219,6 @@ func (j *Job) cancel(reason error) bool {
 	j.blocked = nil
 	j.mu.Unlock()
 
-	rt := j.rt
-	rt.extMu.Lock()
-	rt.trace(-1, rtrace.EvJobCancel, j.id, 0, 0)
 	for i, t := range swept {
 		if !objs[i].cancelWait(t) {
 			// A concurrent wake already removed t from the waiter list

@@ -66,38 +66,31 @@ func runScenario(t *testing.T, sc workload.Scenario, cfg grt.Config, scfg worklo
 }
 
 // TestScenarioCrossEngine is the suite's invariant matrix: every scenario
-// × every policy × both engines. Each run must produce the serial
-// reference checksum, the exact thread and job populations, a
+// × every policy × both synchronization engines. Each run must produce
+// the serial reference checksum, the exact thread and job populations, a
 // replay-verifiable trace, and a cache-complexity report.
 func TestScenarioCrossEngine(t *testing.T) {
 	scfg := workload.ScenarioConfig{Seed: 21, Scale: 1}
 	type engine struct {
 		coarse  bool
-		channel bool
 		workers int
 	}
-	// The full frame-engine × lock-engine matrix: every row must produce
-	// the same serial reference checksum byte for byte — the work-first
-	// refactor may change *when* things run, never *what* they compute.
-	engines := []engine{
-		{false, false, 1}, {false, false, 4}, {true, false, 4},
-		{false, true, 1}, {false, true, 4}, {true, true, 4},
-	}
+	// Every row must produce the same serial reference checksum byte for
+	// byte — the schedule may change *when* things run, never *what* they
+	// compute.
+	engines := []engine{{false, 1}, {false, 4}, {true, 4}}
 	for _, sc := range workload.Scenarios() {
 		want := sc.Expect(scfg)
 		for _, pol := range scenarioPolicies() {
 			for _, eng := range engines {
 				name := fmt.Sprintf("%s/%s/p%d", sc.Name, pol.name, eng.workers)
-				if eng.channel {
-					name += "/channel"
-				}
 				if eng.coarse {
 					name += "/coarse"
 				}
 				t.Run(name, func(t *testing.T) {
 					sum, rec := runScenario(t, sc, grt.Config{
 						Workers: eng.workers, Sched: pol.kind, K: pol.k,
-						Seed: 17, CoarseLock: eng.coarse, ChannelFrames: eng.channel,
+						Seed: 17, CoarseLock: eng.coarse,
 					}, scfg)
 					if sum != want {
 						t.Errorf("checksum %#x, want %#x", sum, want)
@@ -178,17 +171,16 @@ func TestScenarioRaceStress(t *testing.T) {
 	scfg := workload.ScenarioConfig{Seed: 33, Scale: 2}
 	for _, sc := range workload.Scenarios() {
 		for _, mode := range []struct {
-			kind    grt.Kind
-			coarse  bool
-			channel bool
-		}{
-			{grt.DFDeques, false, false}, {grt.WS, true, false},
-			{grt.DFDeques, false, true}, {grt.WS, true, true},
-		} {
-			t.Run(fmt.Sprintf("%s/%v/coarse=%v/channel=%v", sc.Name, mode.kind, mode.coarse, mode.channel), func(t *testing.T) {
+			kind   grt.Kind
+			coarse bool
+		}{{grt.DFDeques, false}, {grt.WS, true}} {
+			// channel=false records that these runs use the continuation
+			// engine, not channel-frame threads; the suffix keeps the
+			// subtest names stable.
+			t.Run(fmt.Sprintf("%s/%v/coarse=%v/channel=false", sc.Name, mode.kind, mode.coarse), func(t *testing.T) {
 				rt, err := grt.New(grt.Config{
 					Workers: 8, Sched: mode.kind, K: scenarioK, Seed: 13,
-					CoarseLock: mode.coarse, ChannelFrames: mode.channel,
+					CoarseLock: mode.coarse,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -209,8 +201,8 @@ func TestScenarioRaceStress(t *testing.T) {
 // TestGrtStealHammer forces steals into in-flight inline execution. Each
 // internal node forks a recursive child (which sits in the deque, exposed
 // to the seven other workers) and then fork+joins a run of tiny leaves —
-// on the continuation engine those joins are inline calls racing against
-// a concurrent bottom-steal of the very frame doing the calling. The
+// those joins are inline calls racing against a concurrent bottom-steal
+// of the very frame doing the calling. The
 // leaves allocate past K so the deques keep getting shared and the steal
 // rate stays high for the whole run. Under -race this cross-checks the
 // promote-on-steal protocol against inline completion; the checksum pins
@@ -227,52 +219,45 @@ func TestGrtStealHammer(t *testing.T) {
 	}
 	want := expect(depth)
 
-	for _, eng := range []struct {
-		name    string
-		channel bool
-	}{{"cont", false}, {"channel", true}} {
-		t.Run(eng.name, func(t *testing.T) {
-			rt, err := grt.New(grt.Config{
-				Workers: 8, Sched: grt.DFDeques, K: 64, Seed: 9,
-				ChannelFrames: eng.channel,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rt.Shutdown(context.Background())
+	// The subtest is named for the continuation engine the runtime runs on.
+	t.Run("cont", func(t *testing.T) {
+		rt, err := grt.New(grt.Config{Workers: 8, Sched: grt.DFDeques, K: 64, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Shutdown(context.Background())
 
-			var total atomic.Int64
-			var rec func(c *grt.T, d int)
-			rec = func(c *grt.T, d int) {
-				if d == 0 {
-					c.Alloc(96) // over quota: forces sharing, keeps steals flowing
-					total.Add(1)
-					c.Free(96)
-					return
-				}
-				// Two recursive children bracket the leaf run, so the frame
-				// is always stealable while it executes leaves inline.
-				left := c.Fork(func(l *grt.T) { rec(l, d-1) })
-				for i := 0; i < leavesPer; i++ {
-					h := c.Fork(func(*grt.T) { total.Add(1) })
-					c.Join(h)
-				}
-				right := c.Fork(func(r *grt.T) { rec(r, d-1) })
-				c.Join(right)
-				c.Join(left)
+		var total atomic.Int64
+		var rec func(c *grt.T, d int)
+		rec = func(c *grt.T, d int) {
+			if d == 0 {
+				c.Alloc(96) // over quota: forces sharing, keeps steals flowing
+				total.Add(1)
+				c.Free(96)
+				return
 			}
-			j, err := rt.Submit(context.Background(), func(root *grt.T) { rec(root, depth) })
-			if err != nil {
-				t.Fatal(err)
+			// Two recursive children bracket the leaf run, so the frame
+			// is always stealable while it executes leaves inline.
+			left := c.Fork(func(l *grt.T) { rec(l, d-1) })
+			for i := 0; i < leavesPer; i++ {
+				h := c.Fork(func(*grt.T) { total.Add(1) })
+				c.Join(h)
 			}
-			if _, err := j.Wait(); err != nil {
-				t.Fatal(err)
-			}
-			if got := total.Load(); got != want {
-				t.Errorf("total = %d, want %d: a fork was lost or run twice under steal pressure", got, want)
-			}
-		})
-	}
+			right := c.Fork(func(r *grt.T) { rec(r, d-1) })
+			c.Join(right)
+			c.Join(left)
+		}
+		j, err := rt.Submit(context.Background(), func(root *grt.T) { rec(root, depth) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got := total.Load(); got != want {
+			t.Errorf("total = %d, want %d: a fork was lost or run twice under steal pressure", got, want)
+		}
+	})
 }
 
 // TestGrtIrregularSubmitSoak sustains hundreds of concurrent jobs whose

@@ -138,8 +138,11 @@ func (m *Machine) stepProc(p *proc) {
 			w := l.waiters[0]
 			l.waiters = l.waiters[1:]
 			l.holder = w
-			// The waiter resumes *after* its acquire instruction.
+			// The waiter resumes *after* its acquire instruction: the
+			// handoff executes that acquire on its behalf, so it counts
+			// as an action here (W counts every instruction once).
 			w.PC++
+			m.met.Actions++
 			m.setReady(w)
 			m.Sched.OnWake(p.id, w)
 		}

@@ -239,6 +239,28 @@ func TestLocksBlockingMode(t *testing.T) {
 	}
 }
 
+// TestLockHandoffCountsAcquire pins Actions == W on a contended lock in
+// blocking mode: a release that hands the lock to a blocked waiter
+// executes the waiter's acquire on its behalf, and that acquire is one
+// of the dag's W instructions like any other.
+func TestLockHandoffCountsAcquire(t *testing.T) {
+	crit := func() *dag.ThreadSpec {
+		return dag.NewThread("crit").Work(2).Acquire(1).Work(20).Release(1).Spec()
+	}
+	root := dag.ParFor("locks", 8, func(int) *dag.ThreadSpec { return crit() })
+	want := dag.Measure(root)
+	for name, s := range mkSchedulers(1 << 20) {
+		m := machine.New(machine.Config{Procs: 4, Seed: 12}, s)
+		met, err := m.Run(root)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if met.Actions != want.W {
+			t.Errorf("%s: actions = %d, want W = %d", name, met.Actions, want.W)
+		}
+	}
+}
+
 func TestLocksSpinMode(t *testing.T) {
 	crit := func() *dag.ThreadSpec {
 		return dag.NewThread("crit").Acquire(1).Work(50).Release(1).Spec()

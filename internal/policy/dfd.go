@@ -50,21 +50,14 @@ func (d *DFD[T]) Seed(t T) { d.pool.Seed(t) }
 // the Lemma 3.1 left-to-right order.
 func (d *DFD[T]) Inject(t T) { d.pool.PushWoken(-1, t) }
 
-// Fork implements Policy: push the parent on the owned deque, run the
-// child (depth-first order); the quota spans steals, not dispatches.
-func (d *DFD[T]) Fork(w int, parent, child T) T {
-	d.pool.PushOwn(w, parent)
-	return child
-}
-
-// ForkCont implements Policy: under the continuation engine the parent
-// keeps running inline and the child takes the deque slot the parent used
-// to occupy. The deque's internal order inverts — top is the deepest
-// (highest-priority) thread — but the steal end is unchanged: PopBottom
-// still takes the coarsest work, which is now the oldest continuation,
-// exactly the §3.3 steal the channel engine expresses as the shallowest
-// parent. Quota is untouched: it spans steals, not forks.
-func (d *DFD[T]) ForkCont(w int, parent, child T) { d.pool.PushOwn(w, child) }
+// Fork implements Policy: the child goes on top of w's own deque while
+// the parent keeps running. The top is the deepest thread but the
+// lowest-priority one in the deque (the most recently forked child comes
+// last in the 1DF order among the deque's threads); the bottom, which a
+// thief takes, is the oldest and coarsest child — the highest-priority
+// thread in the deque, the §3.3 steal. Quota is untouched: it spans
+// steals, not forks.
+func (d *DFD[T]) Fork(w int, child T) { d.pool.PushOwn(w, child) }
 
 // JoinPop implements Policy: claim child for an inline join iff it is
 // still the top of w's own deque (see core.SharedPool.PopOwnIf) — i.e. no

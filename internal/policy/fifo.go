@@ -88,14 +88,7 @@ func (f *FIFO[T]) Inject(t T) { f.push(-1, t) }
 
 // Fork implements Policy: the child is enqueued, the parent continues
 // (breadth-first — no child preemption).
-func (f *FIFO[T]) Fork(w int, parent, child T) T {
-	f.push(w, child)
-	return parent
-}
-
-// ForkCont implements Policy: identical to Fork — FIFO already keeps the
-// parent running and enqueues the child, so both engines share one path.
-func (f *FIFO[T]) ForkCont(w int, parent, child T) { f.push(w, child) }
+func (f *FIFO[T]) Fork(w int, child T) { f.push(w, child) }
 
 // JoinPop implements Policy: the global FIFO has no owner-local claim;
 // the parent parks and the child drains through the queue in order.

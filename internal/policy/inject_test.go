@@ -69,10 +69,10 @@ func TestDFDInjectMidRun(t *testing.T) {
 		t.Fatal("worker could not acquire the seeded root")
 	}
 
-	// Fork: child takes the priority slot just above the parent's
-	// continuation and runs; the parent goes on the worker's deque.
+	// Fork: the child takes the priority slot just above the parent and
+	// goes on the worker's deque; the parent keeps running (work-first).
 	child := l.InsertBefore(curr)
-	curr = d.Fork(0, curr, child)
+	d.Fork(0, child)
 
 	// A job arrives mid-run: its root priority is the back of the om list
 	// (lower than everything live, matching the runtime's submit rule).
@@ -84,9 +84,9 @@ func TestDFDInjectMidRun(t *testing.T) {
 		t.Fatalf("after mid-run injection: %v", err)
 	}
 
-	// The worker drains its own deque (child, then parent) before the
-	// injected root is reachable.
-	for _, want := range []*om.Record{root, late} {
+	// The worker drains its own deque (the child) before the injected
+	// root is reachable.
+	for _, want := range []*om.Record{child, late} {
 		dead := curr
 		next, ok := d.Terminate(0, nil, false)
 		if !ok {

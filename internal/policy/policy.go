@@ -72,20 +72,15 @@ type Policy[T any] interface {
 	// scheduling purely by choosing its Inject order, with no policy
 	// cooperation needed.
 	Inject(t T)
-	// Fork handles a fork event on worker w and returns the thread the
-	// worker runs next (the child under depth-first policies, the parent
-	// under FIFO). Policies with a per-dispatch quota reset w's here.
-	Fork(w int, parent, child T) T
-	// ForkCont handles a fork event on worker w under the continuation
-	// engine: the parent keeps running inline and the child is published
-	// in the slot the parent occupies under Fork. Deque policies push the
-	// child on w's own deque — the deque's internal order inverts (top =
-	// deepest thread) but the steal end is unchanged; global-queue
-	// policies insert the child at its priority position. Per-dispatch
-	// quotas are NOT reset: the parent's dispatch continues.
-	ForkCont(w int, parent, child T)
+	// Fork publishes child, just forked on worker w; the parent keeps
+	// running (work-first). Deque policies push the child on w's own
+	// deque, so a deque holds its highest-priority thread at the bottom
+	// (the steal end) and its lowest at the top; global-queue policies
+	// insert the child at its priority position. Per-dispatch quotas are
+	// NOT reset: the parent's dispatch continues.
+	Fork(w int, child T)
 	// JoinPop claims child for an inline join on worker w: remove child
-	// from the ready structure iff it is still exactly where ForkCont
+	// from the ready structure iff it is still exactly where Fork
 	// published it (the top of w's own deque), reporting success. The
 	// check and the removal must be one linearization point so a racing
 	// steal cannot double-claim the thread. Global-queue policies always

@@ -205,10 +205,10 @@ func TestDFDPolicyInvariants(t *testing.T) {
 			}
 		} else if rng.Intn(3) > 0 && live < 64 {
 			// Fork: the child receives the priority immediately higher
-			// than its parent (it precedes the parent's continuation in
-			// the 1DF order).
+			// than its parent (it precedes the parent in the 1DF order)
+			// and goes on w's deque while the parent keeps running.
 			child := l.InsertBefore(curr[w])
-			curr[w] = d.Fork(w, curr[w], child)
+			d.Fork(w, child)
 			live++
 		} else {
 			dead := curr[w]

@@ -17,7 +17,7 @@ import (
 // and no membership change; with the lock-free deque protocol every
 // owner push/pop and every steal is nonblocking, so the pool's only
 // mutex is the tiny injectMu serializing concurrent injectors — workers
-// never touch it.
+// never touch it — plus claimMu, which thieves take only in traced runs.
 //
 // The inbox exists because the lock-free deque admits exactly one
 // owner-side writer: under the old per-deque Mu, an injector could push
@@ -37,6 +37,13 @@ type WSPool[T comparable] struct {
 	// injectMu serializes injectors (the inbox's collective owner role).
 	// It is never taken by a worker on any path.
 	injectMu sync.Mutex
+
+	// claimMu is taken by thieves only while a probe is attached: it
+	// makes a bottom claim and its trace record one step, so two thieves
+	// racing on one deque are recorded in the order they claimed and the
+	// replay's bottom check holds. Untraced, the steal path stays
+	// mutex-free.
+	claimMu sync.Mutex
 
 	// Tracing (nil probe: disabled). Deque i's trace id is i and the
 	// inbox's is len(dq) — the structure is fixed, so ids need no
@@ -76,9 +83,10 @@ func (pl *WSPool[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
 
 // trace records one event when a probe is attached. Pushes are recorded
 // before the item is published and pops/steals after the claim succeeds,
-// so the global sequence linearizes each deque's history without any
-// lock (a thief can only claim x after the publish, which is after the
-// push's record).
+// so the global sequence linearizes each deque's history (a thief can
+// only claim x after the publish, which is after the push's record). The
+// one pair this cannot order is two thieves claiming successive bottoms
+// of one deque; claimBottom serializes those while tracing.
 func (pl *WSPool[T]) trace(w int, k rtrace.Kind, a, b, c int64) {
 	if rtrace.Enabled && pl.probe != nil {
 		pl.probe.Event(w, k, a, b, c)
@@ -123,12 +131,9 @@ func (pl *WSPool[T]) popInbox(w int) (T, bool) {
 	if pl.inbox.SizeHint() == 0 {
 		return zero, false
 	}
-	x, ok := pl.inbox.PopBottom()
+	x, ok := pl.claimBottom(w, pl.inbox)
 	if !ok {
 		return zero, false
-	}
-	if pl.tidOf != nil {
-		pl.trace(w, rtrace.EvSteal, pl.tidOf(x), pl.inbox.ID, -1)
 	}
 	pl.ready.Add(-1)
 	pl.steals.Add(1)
@@ -151,7 +156,7 @@ func (pl *WSPool[T]) Pop(w int) (T, bool) {
 }
 
 // PopIf pops the top of w's own deque only if it is exactly want,
-// reporting whether it did — the continuation engine's inline-join claim
+// reporting whether it did — the inline-join claim
 // (see core.SharedPool.PopOwnIf). The contested last-item case delegates
 // to the deque's conflict CAS, so a racing bottom-steal of a single-item
 // deque cannot double-claim the thread.
@@ -182,15 +187,28 @@ func (pl *WSPool[T]) StealFrom(w, v int) (T, bool) {
 		return zero, false
 	}
 	pl.trace(w, rtrace.EvStealAttempt, d.ID, 0, 0)
-	x, ok := d.PopBottom()
+	x, ok := pl.claimBottom(w, d)
 	if ok {
-		if pl.tidOf != nil {
-			pl.trace(w, rtrace.EvSteal, pl.tidOf(x), d.ID, -1)
-		}
 		pl.ready.Add(-1)
 		pl.steals.Add(1)
 	} else {
 		pl.failed.Add(1)
+	}
+	return x, ok
+}
+
+// claimBottom pops d's bottom on behalf of thief w and records the steal.
+// With a probe attached the claim and its record happen under claimMu
+// (see the field); without one it is the bare lock-free PopBottom.
+func (pl *WSPool[T]) claimBottom(w int, d *deque.Deque[T]) (T, bool) {
+	if !rtrace.Enabled || pl.tidOf == nil {
+		return d.PopBottom()
+	}
+	pl.claimMu.Lock()
+	defer pl.claimMu.Unlock()
+	x, ok := d.PopBottom()
+	if ok {
+		pl.trace(w, rtrace.EvSteal, pl.tidOf(x), d.ID, -1)
 	}
 	return x, ok
 }
@@ -276,17 +294,9 @@ func (s *WS[T]) Seed(t T) { s.pool.inject(-1, t) }
 // Acquire and thieves spread the resulting work.
 func (s *WS[T]) Inject(t T) { s.pool.inject(-1, t) }
 
-// Fork implements Policy: push the parent, run the child.
-func (s *WS[T]) Fork(w int, parent, child T) T {
-	s.pool.Push(w, parent)
-	return child
-}
-
-// ForkCont implements Policy: under the continuation engine the parent
-// keeps running and the child is pushed — same deque top, inverted
-// occupant, so steals still take the oldest (now coarsest-continuation)
-// end.
-func (s *WS[T]) ForkCont(w int, parent, child T) { s.pool.Push(w, child) }
+// Fork implements Policy: the parent keeps running and the child is
+// pushed, so steals take the oldest, coarsest child from the bottom.
+func (s *WS[T]) Fork(w int, child T) { s.pool.Push(w, child) }
 
 // JoinPop implements Policy: claim child for an inline join iff it is
 // still the top of w's own deque. The conditional pop is required — Wake

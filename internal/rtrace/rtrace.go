@@ -37,9 +37,9 @@ const (
 	// leaf of the §3.3 big-allocation transformation.
 	EvFork Kind = iota
 	// EvDispatch: worker W began executing thread A. B is the dispatch
-	// source: SrcFork (fork handoff to the child), SrcNext (after the
-	// previous thread suspended), SrcTerminate (join-woken parent handed
-	// off), SrcAcquire (after an idle acquire).
+	// source: SrcNext (after the previous thread suspended), SrcTerminate
+	// (join-woken parent handed off), SrcAcquire (after an idle acquire),
+	// SrcInline (claimed by its parent's join).
 	EvDispatch
 	// EvBlock: thread A suspended on worker W. B is the reason (Block*);
 	// for BlockJoin, C is the tid of the child being joined.
@@ -64,10 +64,11 @@ const (
 	// (steal) loop.
 	EvIdle
 	// EvStealAttempt: worker W made one steal attempt; A is the victim
-	// deque id, or -1 if the pick found no deque.
+	// deque id, or -1 if the pick found no deque. Under DFDeques, B is the
+	// victim's position in R (0 = leftmost).
 	EvStealAttempt
 	// EvSteal: worker W stole thread A from the bottom of deque B; C is
-	// the new deque created for W immediately right of B (-1 for pools
+	// the new deque created for W immediately left of B (-1 for pools
 	// with fixed deques, i.e. WS).
 	EvSteal
 	// EvDequeCreate: deque A entered R immediately right of deque B (B=-1:
@@ -109,12 +110,10 @@ const (
 	// keep loading unchanged.
 	EvTouch
 	// EvPromote: thread A was promoted to a goroutine-backed frame on
-	// worker W under the continuation engine — its first dispatch out of a
-	// ready structure (B=0), or its first blocking suspension while
-	// executing inline in a parent's frame (B=1). The channel engine never
-	// records it (every thread is goroutine-backed from birth); the
-	// verifier rejects it in channel-engine streams. Appended after EvTouch
-	// so older trace files keep loading unchanged.
+	// worker W — its first dispatch out of a ready structure (B=0), or its
+	// first blocking suspension while executing inline in a parent's frame
+	// (B=1). Appended after EvTouch so older trace files keep loading
+	// unchanged.
 	EvPromote
 	// EvJobAnnotate: job A carries the submitter's annotation — B is an
 	// opaque tenant tag and C an opaque per-submitter job tag (the serving
@@ -132,14 +131,17 @@ const (
 
 // Dispatch sources (EvDispatch payload B).
 const (
+	// SrcFork marked a child dispatched straight from its parent's fork
+	// by a scheduler-first engine the runtime no longer has. It is never
+	// recorded and keeps its value so the others keep theirs.
 	SrcFork int64 = iota
 	SrcNext
 	SrcTerminate
 	SrcAcquire
-	// SrcInline: the continuation engine ran the thread inline in its
-	// parent's frame after conditionally popping it off the own-deque top
-	// at the parent's Join (the work-first fast path — no goroutine, no
-	// channel hand-off).
+	// SrcInline: the runtime ran the thread inline in its parent's frame
+	// after conditionally popping it off the own-deque top at the
+	// parent's Join (the work-first fast path — no goroutine, no channel
+	// hand-off).
 	SrcInline
 )
 
@@ -202,11 +204,6 @@ type Meta struct {
 	Workers int    `json:"workers"`
 	K       int64  `json:"k"`
 	Seed    int64  `json:"seed"`
-	// Engine identifies the execution core the stream was recorded from:
-	// "cont" (continuation-passing work-first engine) or "channel" (the
-	// legacy goroutine-per-thread engine). Empty means channel — streams
-	// recorded before the engine split predate the field.
-	Engine string `json:"engine,omitempty"`
 }
 
 // exactTS is the set of kinds that read the monotonic clock when

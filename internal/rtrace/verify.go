@@ -11,18 +11,17 @@ import (
 // properties the simulator's per-timestep checker proves per step:
 //
 //   - Lemma 3.1 ordering: the deque list R stays priority-sorted left to
-//     right, every deque is internally sorted (top = highest 1DF
-//     priority), and a worker's executing thread has higher priority than
-//     everything in its own deque. The 1DF order itself is reconstructed
-//     from the fork events (child immediately before parent, exactly the
-//     runtime's om-list discipline).
+//     right, every deque is internally sorted, and a worker's executing
+//     thread is ordered against everything in its own deque. The 1DF
+//     order itself is reconstructed from the fork events (child
+//     immediately before parent, exactly the runtime's om-list
+//     discipline).
 //   - Dispatch conservation: every thread is dispatched exactly
-//     1 + suspensions times (a suspension is a join/lock/future block, a
-//     quota preemption, or a fork pushing the running parent back into
-//     its deque), threads only run from a legal
-//     source (fork handoff, own-deque pop, steal, queue take, join
-//     wake-up of a completed child's waiter), never on two workers at
-//     once, and every thread completes exactly once.
+//     1 + suspensions times (a suspension is a join/lock/future block or
+//     a quota preemption), threads only run from a legal source (own-deque
+//     pop, inline join claim, steal, queue take, join wake-up of a
+//     completed child's waiter), never on two workers at once, and every
+//     thread completes exactly once.
 //   - Quota accounting: replaying the per-worker K-byte quota (reset on
 //     steal for DFDeques, on dispatch for ADF; credits clamped to K),
 //     every recorded allocation must fit the modeled remainder and every
@@ -52,30 +51,16 @@ import (
 // regardless of priority (WS has no priority order to keep), so multi-job
 // WS streams disable the ordering checks like lock programs do.
 //
-// Engines. Meta.Engine selects the execution-engine model ("channel", or
-// "" for pre-engine streams: the legacy channel-frame core; "cont": the
-// work-first continuation engine). The engines differ in which thread a
-// fork publishes — the channel engine pushes the running parent and
-// dispatches the child, the continuation engine keeps the parent running
-// and pushes the never-dispatched child — so every deque-geometry check
-// has a mirrored polarity under "cont": deques sort ascending bottom-to-
-// top (bottom is the highest 1DF priority, the steal end still takes the
-// coarsest thread), R's left-to-right order compares the mirrored
-// endpoints, and a running thread has *lower* priority than its own
-// deque's contents. The continuation engine additionally records
-// EvPromote — a thread's unique transition to a goroutine-backed frame —
-// and dispatches inline-claimed children with SrcInline; dispatch
-// conservation (1 + suspensions) is engine-independent and is checked
-// identically on both.
+// Deque geometry. The runtime is work-first: a fork keeps the parent
+// running and pushes the never-dispatched child. So each deque's bottom
+// (the steal end) holds its highest-priority thread and its top the
+// lowest, a running thread has lower priority than everything in its own
+// deque, R's left-to-right order compares each deque's top with the next
+// deque's bottom, and a DFDeques thief's new deque enters R immediately
+// left of its victim. Frames promoted to goroutines record EvPromote, and
+// inline-claimed children are dispatched with SrcInline.
 func Verify(meta Meta, evs []Event, dropped uint64) (Report, error) {
 	v := &verifier{meta: meta, rep: Report{Events: len(evs), OrderingExact: true}}
-	switch meta.Engine {
-	case "", "channel":
-	case "cont":
-		v.cont = true
-	default:
-		return v.rep, fmt.Errorf("rtrace: unknown engine %q in trace metadata", meta.Engine)
-	}
 	if dropped > 0 {
 		return v.rep, fmt.Errorf("rtrace: %d events dropped by ring wrap-around; raise the trace buffer to verify this run", dropped)
 	}
@@ -138,11 +123,11 @@ type vthread struct {
 	on         int   // worker (tRunning/tInflight)
 	job        int64 // owning job id (0 on pre-lifecycle streams)
 	dummy      bool
-	promoted   bool  // continuation engine: goroutine frame exists
+	promoted   bool  // goroutine frame exists
 	waitee     int64 // tid being joined (tBlocked on join), else -1
 	rec        *om.Record
 	dispatches int64
-	suspends   int64 // blocks + preemptions + fork pushes of the parent
+	suspends   int64 // blocks + preemptions
 }
 
 // vjob tracks one submitted job's lifecycle through the replay.
@@ -176,7 +161,6 @@ type verifier struct {
 	quota   []int64 // modeled remaining quota per worker
 
 	ordered bool // ordering checks active
-	cont    bool // continuation engine: mirrored deque geometry, promotions
 }
 
 // meta2 aliases Meta so verifier literals stay short.
@@ -276,7 +260,6 @@ func (v *verifier) step(e *Event) error {
 		}
 		switch {
 		case t.state == tInflight && t.on == w:
-		case e.B == SrcFork && t.state == tNew:
 		case e.B == SrcTerminate && t.state == tBlocked:
 			// Join hand-off: the waitee must have terminated.
 			if t.waitee >= 0 && v.threads[t.waitee].state != tDone {
@@ -413,9 +396,6 @@ func (v *verifier) step(e *Event) error {
 		if err != nil {
 			return err
 		}
-		if !v.cont {
-			return v.fail(e, "promotion under the channel-frame engine")
-		}
 		if t.promoted {
 			return v.fail(e, "t%d promoted twice", e.A)
 		}
@@ -462,14 +442,13 @@ func (v *verifier) step(e *Event) error {
 			v.rep.Notes = append(v.rep.Notes,
 				"multiple jobs under WS: late roots join the shared inbox regardless of priority; ordering checks disabled from "+e.String())
 		}
-		// Mid-run roots are safe under both engines' DFDeques geometry:
-		// a new root is the global 1DF tail, so the woken-thread
-		// insertion's scan (which compares against deque tops) never
-		// fires and the root's deque is appended rightmost — correct in
-		// the mirrored order too. Woken threads with mid-range
-		// priorities, whose placement the mirrored scan could misjudge,
-		// only exist downstream of a lock/future block, which already
-		// disabled the ordering checks above.
+		// Mid-run roots keep R ordered: a new root is the global 1DF
+		// tail, so the woken-thread insertion's scan (which compares
+		// against deque bottoms) never fires and the root's deque is
+		// appended rightmost. Woken threads with mid-range priorities,
+		// whose placement the scan could misjudge while owners run, only
+		// exist downstream of a lock/future block, which already disabled
+		// the ordering checks above.
 
 	case EvJobAnnotate:
 		if w != -1 {
@@ -511,7 +490,18 @@ func (v *verifier) step(e *Event) error {
 		// Informational only.
 
 	case EvStealAttempt:
-		// Informational only (success is a separate EvSteal).
+		// Success is a separate EvSteal. Under DFDeques an attempt that
+		// reached a victim records the victim's position in the pool's R.
+		// Every change to R is recorded under the pool's spine lock, and
+		// so is the attempt, so the replayed R must put the victim at that
+		// very position — the check that catches a pool placing deques
+		// where the replay does not — and it must lie in the leftmost p
+		// (§3.3).
+		if v.meta.Policy == "DFDeques" && e.A >= 0 {
+			if i := v.position(e.A); int64(i) != e.B || i >= v.meta.Workers {
+				return v.fail(e, "steal attempt on deque %d at position %d of R, replay has it at %d (leftmost p = %d)", e.A, e.B, i, v.meta.Workers)
+			}
+		}
 
 	case EvSteal:
 		t, err := v.thread(e, e.A)
@@ -542,7 +532,7 @@ func (v *verifier) step(e *Event) error {
 				return v.fail(e, "new deque %d already exists", e.C)
 			}
 			v.deques[e.C] = &vdeque{owner: w}
-			if err := v.insertRight(e, e.B, e.C); err != nil {
+			if err := v.insertAt(e, e.B, e.C, 0); err != nil {
 				return err
 			}
 			v.owned[w] = e.C
@@ -560,7 +550,7 @@ func (v *verifier) step(e *Event) error {
 		v.deques[e.A] = &vdeque{owner: -1}
 		if e.B < 0 {
 			v.r = append([]int64{e.A}, v.r...)
-		} else if err := v.insertRight(e, e.B, e.A); err != nil {
+		} else if err := v.insertAt(e, e.B, e.A, 1); err != nil {
 			return err
 		}
 		return v.checkOrdering(e)
@@ -608,35 +598,17 @@ func (v *verifier) step(e *Event) error {
 			return v.fail(e, "push into deque %d owned by %d from w%d", e.B, d.owner, w)
 		}
 		switch t.state {
-		case tRunning:
-			if t.on != w {
-				return v.fail(e, "push of t%d running on another worker", e.A)
-			}
-			v.running[w] = -1 // the fork path: the parent's segment ends here
-			t.suspends++
-		case tPreempt, tBlocked:
-		case tNew:
-			if w != -1 && !v.cont {
-				// The continuation engine's fork pushes the
-				// never-dispatched child from a worker lane (the parent
-				// keeps running — no suspension); the channel engine only
-				// pushes tNew threads in the pre-run seed.
-				return v.fail(e, "push of never-dispatched t%d outside the pre-run seed", e.A)
-			}
+		case tNew, tPreempt, tBlocked:
+			// tNew: a fork pushes the never-dispatched child (the parent
+			// keeps running — no suspension), or the seed/injection path.
 		default:
 			return v.fail(e, "push of t%d from illegal state %d", e.A, t.state)
 		}
+		// Each push must be *lower* priority than the top: children are
+		// forked in priority order, later forks are later in the 1DF order.
 		if v.ordered && len(d.items) > 0 {
-			top := d.items[len(d.items)-1]
-			if v.cont {
-				// Mirrored geometry: each push must be *lower* priority
-				// than the top (children are forked in priority order,
-				// later forks are later in the 1DF order).
-				if !v.before(top, e.A) {
-					return v.fail(e, "push of t%d over-prioritizes deque %d's top t%d", e.A, e.B, top)
-				}
-			} else if !v.before(e.A, top) {
-				return v.fail(e, "push of t%d under-prioritizes deque %d's top t%d", e.A, e.B, top)
+			if top := d.items[len(d.items)-1]; !v.before(top, e.A) {
+				return v.fail(e, "push of t%d over-prioritizes deque %d's top t%d", e.A, e.B, top)
 			}
 		}
 		d.items = append(d.items, e.A)
@@ -670,12 +642,6 @@ func (v *verifier) step(e *Event) error {
 			return err
 		}
 		switch t.state {
-		case tRunning:
-			if t.on != w {
-				return v.fail(e, "queue push of t%d running on another worker", e.A)
-			}
-			v.running[w] = -1
-			t.suspends++
 		case tNew, tPreempt, tBlocked:
 		default:
 			return v.fail(e, "queue push of t%d from illegal state %d", e.A, t.state)
@@ -724,17 +690,29 @@ func (v *verifier) step(e *Event) error {
 	return nil
 }
 
-// insertRight places deque did immediately to the right of after in R.
-func (v *verifier) insertRight(e *Event, after, did int64) error {
+// position returns deque did's index from the left end of R, or len(R)
+// if it is not in R.
+func (v *verifier) position(did int64) int {
 	for i, id := range v.r {
-		if id == after {
-			v.r = append(v.r, 0)
-			copy(v.r[i+2:], v.r[i+1:])
-			v.r[i+1] = did
-			return nil
+		if id == did {
+			return i
 		}
 	}
-	return v.fail(e, "insert right of deque %d which is not in R", after)
+	return len(v.r)
+}
+
+// insertAt places deque did next to deque at in R: immediately left of
+// it for offset 0, immediately right for offset 1.
+func (v *verifier) insertAt(e *Event, at, did int64, offset int) error {
+	i := v.position(at)
+	if i == len(v.r) {
+		return v.fail(e, "insert next to deque %d which is not in R", at)
+	}
+	i += offset
+	v.r = append(v.r, 0)
+	copy(v.r[i+1:], v.r[i:])
+	v.r[i] = did
+	return nil
 }
 
 // checkOrdering verifies the Lemma 3.1 invariants over the replayed
@@ -744,47 +722,34 @@ func (v *verifier) checkOrdering(e *Event) error {
 		return nil
 	}
 	v.rep.Checks++
-	// Each deque internally sorted. Channel engine: top (last) is the
-	// highest priority. Continuation engine: mirrored — bottom (first) is
-	// the highest priority, so a bottom-steal still takes the coarsest
-	// thread while the owner's top pop takes the deepest.
+	// Each deque internally sorted: the bottom (first) is the highest
+	// priority, so a bottom-steal takes the coarsest thread while the
+	// owner's top pop takes the deepest.
 	for did, d := range v.deques {
 		for i := 0; i+1 < len(d.items); i++ {
-			if v.cont {
-				if !v.before(d.items[i], d.items[i+1]) {
-					return v.fail(e, "deque %d not internally sorted (mirrored): t%d above t%d", did, d.items[i], d.items[i+1])
-				}
-			} else if !v.before(d.items[i+1], d.items[i]) {
-				return v.fail(e, "deque %d not internally sorted: t%d above t%d", did, d.items[i+1], d.items[i])
+			if !v.before(d.items[i], d.items[i+1]) {
+				return v.fail(e, "deque %d not internally sorted: t%d above t%d", did, d.items[i], d.items[i+1])
 			}
 		}
 	}
 	if v.meta.Policy == "DFDeques" {
 		// R sorted left to right: everything in a deque has higher
 		// priority than everything right of it. Comparing each deque's
-		// lowest-priority item with the next non-empty deque's
-		// highest-priority item covers all pairs; which end is which
-		// depends on the engine's deque polarity.
-		prevLowest := int64(-1)
+		// lowest-priority item (its top) with the next non-empty deque's
+		// highest (its bottom) covers all pairs.
+		prevTop := int64(-1)
 		for _, did := range v.r {
 			d := v.deques[did]
 			if len(d.items) == 0 {
 				continue
 			}
-			highest, lowest := d.items[len(d.items)-1], d.items[0]
-			if v.cont {
-				highest, lowest = lowest, highest
+			if prevTop >= 0 && !v.before(prevTop, d.items[0]) {
+				return v.fail(e, "R out of order: t%d (left) does not precede t%d (right)", prevTop, d.items[0])
 			}
-			if prevLowest >= 0 && !v.before(prevLowest, highest) {
-				return v.fail(e, "R out of order: t%d (left) does not precede t%d (right)", prevLowest, highest)
-			}
-			prevLowest = lowest
+			prevTop = d.items[len(d.items)-1]
 		}
-		// Channel engine: an executing thread has higher priority than
-		// everything in its worker's deque (the deque holds its
-		// ancestors' continuations-as-parents). Continuation engine: the
-		// executing thread IS the ancestor — it has *lower* priority than
-		// everything in its deque (its forked children).
+		// An executing thread is the ancestor of everything its fork
+		// pushed: it has lower priority than everything in its deque.
 		for w, tid := range v.running {
 			if tid < 0 || v.owned[w] < 0 {
 				continue
@@ -793,13 +758,8 @@ func (v *verifier) checkOrdering(e *Event) error {
 			if len(d.items) == 0 {
 				continue
 			}
-			top := d.items[len(d.items)-1]
-			if v.cont {
-				if !v.before(top, tid) {
-					return v.fail(e, "running t%d on w%d over-prioritizes its deque top t%d (mirrored)", tid, w, top)
-				}
-			} else if !v.before(tid, top) {
-				return v.fail(e, "running t%d on w%d under-prioritizes its deque top t%d", tid, w, top)
+			if top := d.items[len(d.items)-1]; !v.before(top, tid) {
+				return v.fail(e, "running t%d on w%d over-prioritizes its deque top t%d", tid, w, top)
 			}
 		}
 	}

@@ -215,6 +215,18 @@ func TestVerifyRejectsCorruptedStreams(t *testing.T) {
 			evs[i].A++
 			return evs
 		}},
+		{"misplaced-victim", func(evs []rtrace.Event) []rtrace.Event {
+			// Claim a steal attempt found its victim one place further
+			// right in R than the replay has it.
+			for i := range evs {
+				if evs[i].Kind == rtrace.EvStealAttempt && evs[i].A >= 0 {
+					evs[i].B++
+					return evs
+				}
+			}
+			t.Fatal("stream has no steal attempt that reached a victim")
+			return evs
+		}},
 		{"forged-quota", func(evs []rtrace.Event) []rtrace.Event {
 			// An allocation far beyond K could never fit the quota.
 			i := idxOf(rtrace.EvAlloc)
@@ -268,11 +280,10 @@ func TestVerifyMultiJobStreamWithCancellation(t *testing.T) {
 	spin := func(t *grt.T) {
 		for {
 			t.ForkJoin(func(*grt.T) {})
-			// Throttle: a fork+join on the continuation engine costs
-			// nanoseconds, and an unthrottled spinner would overflow the
-			// recorder ring before the cancel lands. The sleep bounds the
-			// event rate, not the iteration count — the job still only
-			// ends by poisoning.
+			// Throttle: an inline fork+join costs nanoseconds, and an
+			// unthrottled spinner would overflow the recorder ring before
+			// the cancel lands. The sleep bounds the event rate, not the
+			// iteration count — the job still only ends by poisoning.
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
@@ -361,5 +372,63 @@ func TestVerifyMultiJobStreamWithCancellation(t *testing.T) {
 				t.Fatalf("summary counts %d threads, replay %d", sum.Threads, rep2.Threads)
 			}
 		})
+	}
+}
+
+// TestVerifyStealPlacesThiefLeft replays a hand-built two-worker stream
+// with one work-first steal. w0 runs the root t1, which forks t2 and then
+// t3 (1DF order t2, t3, t1; bottom→top on w0's deque d2: t2, t3). w1
+// steals the bottom t2 into its new deque d3 and forks t4, which precedes
+// t2 and so also t3, the thread still in d2. Lemma 3.1 therefore needs
+// d3 left of d2. A replay that put the thief's deque right of its victim
+// would read t3 (left) before t4 (right) and report R out of order.
+func TestVerifyStealPlacesThiefLeft(t *testing.T) {
+	meta := rtrace.Meta{Policy: "DFDeques", Workers: 2}
+	var seq uint64
+	e := func(w int32, k rtrace.Kind, a, b, c int64) rtrace.Event {
+		seq++
+		return ev(seq, w, k, a, b, c)
+	}
+	inlineJoin := func(w int32, parent, child, dq int64) []rtrace.Event {
+		return []rtrace.Event{
+			e(w, rtrace.EvPop, child, dq, 0),
+			e(w, rtrace.EvBlock, parent, rtrace.BlockJoin, child),
+			e(w, rtrace.EvDispatch, child, rtrace.SrcInline, 0),
+			e(w, rtrace.EvComplete, child, 0, 0),
+			e(w, rtrace.EvDispatch, parent, rtrace.SrcTerminate, 0),
+		}
+	}
+	evs := []rtrace.Event{
+		e(-1, rtrace.EvDequeCreate, 1, -1, 0),
+		e(-1, rtrace.EvPush, 1, 1, 0),
+		e(0, rtrace.EvStealAttempt, 1, 0, 0),
+		e(0, rtrace.EvSteal, 1, 1, 2),
+		e(0, rtrace.EvDequeRetire, 1, 0, 0),
+		e(0, rtrace.EvDispatch, 1, rtrace.SrcAcquire, 0),
+		e(0, rtrace.EvFork, 1, 2, 0),
+		e(0, rtrace.EvPush, 2, 2, 0),
+		e(0, rtrace.EvFork, 1, 3, 0),
+		e(0, rtrace.EvPush, 3, 2, 0),
+		e(1, rtrace.EvStealAttempt, 2, 0, 0),
+		e(1, rtrace.EvSteal, 2, 2, 3),
+		e(1, rtrace.EvDispatch, 2, rtrace.SrcAcquire, 0),
+		e(1, rtrace.EvFork, 2, 4, 0),
+		e(1, rtrace.EvPush, 4, 3, 0),
+	}
+	evs = append(evs, inlineJoin(1, 2, 4, 3)...)
+	evs = append(evs,
+		e(1, rtrace.EvComplete, 2, 0, 0),
+		e(1, rtrace.EvDequeRetire, 3, 0, 0))
+	evs = append(evs, inlineJoin(0, 1, 3, 2)...)
+	evs = append(evs,
+		e(0, rtrace.EvComplete, 1, 0, 0),
+		e(0, rtrace.EvDequeRetire, 2, 0, 0))
+
+	rep, err := rtrace.Verify(meta, evs, 0)
+	if err != nil {
+		t.Fatalf("replay rejected a steal placed left of its victim: %v", err)
+	}
+	if !rep.OrderingExact || rep.Steals != 2 || rep.Threads != 4 {
+		t.Fatalf("report %+v, want exact ordering, 2 steals, 4 threads", rep)
 	}
 }

@@ -8,28 +8,35 @@ package serve
 
 import "dfdeques/internal/dag"
 
-// price predicts the live-memory cost of a lowered program as
+// price predicts the live-memory cost of a lowered program on p workers
+// as Theorem 4.4's space expression
 //
-//	S1 + K·D
+//	S1 + min(K, S1)·p·D
 //
 // where S1 is the serial (1DF) space of the declared tree — the peak of
 // the live counter over the child-first serial walk, exactly the order
-// the work-first engine executes an unstolen program — and D its maximum
-// fork-nesting depth. S1 is what the job needs on one processor; K·D is
-// the per-branch slice of the paper's S1 + O(K·p·D) bound: each nesting
-// level can contribute up to one stolen thread's K-byte allocation burst
-// beyond the serial footprint. The price deliberately ignores p — it
-// charges the job's own worst branch, not the whole machine — and is a
-// shedding heuristic, not a guarantee: parallel overshoot beyond it is
-// still policed by the in-run budget kill.
+// the runtime executes an unstolen program — and D its maximum
+// fork-nesting depth. S1 is what the job needs on one processor; each of
+// the p workers can run ahead of the serial order by up to one steal's
+// quota (K, or S1 if smaller) per nesting level. K = 0 (no quota) prices
+// the whole S1 per worker and level.
+//
+// The price is a shedding heuristic, not a guarantee: the theorem's D is
+// the dag's depth, not the fork nesting, and its bound hides a constant,
+// so parallel overshoot beyond the price is still policed by the in-run
+// budget kill (DESIGN.md, "The serving layer").
 //
 // Scenario jobs are not priced (cost 0): their footprints are internal
 // to internal/workload, tiny by construction, and not declared in the
 // request.
-func price(spec *dag.ThreadSpec, k int64) int64 {
+func price(spec *dag.ThreadSpec, k, p int64) int64 {
 	var live, peak int64
 	depth := walkCost(spec, &live, &peak, 0)
-	return peak + k*depth
+	slice := peak
+	if k > 0 && k < peak {
+		slice = k
+	}
+	return peak + slice*p*depth
 }
 
 // walkCost runs the child-first serial walk of spec, threading one live

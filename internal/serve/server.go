@@ -89,8 +89,8 @@ func New(cfg Config) (*Server, error) {
 	probe := rtrace.Tee(s.counters, rcfg.Probe)
 	rt, err := grt.New(grt.Config{
 		Workers: rcfg.Workers, Sched: rcfg.Sched, K: rcfg.K, Seed: rcfg.Seed,
-		CoarseLock: rcfg.CoarseLock, ChannelFrames: rcfg.ChannelFrames,
-		MeasureContention: rcfg.MeasureContention, Probe: probe,
+		CoarseLock: rcfg.CoarseLock, MeasureContention: rcfg.MeasureContention,
+		Probe: probe,
 	})
 	if err != nil {
 		return nil, err
@@ -212,7 +212,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"missing or invalid API key", req.Tenant, "")
 		return
 	}
-	run, err := compile(req, s.cfg.Runtime.K)
+	run, err := compile(req, s.cfg.Runtime.K, int64(max(s.cfg.Runtime.Workers, 1)))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "invalid job: "+err.Error(), req.Tenant, "")
 		return

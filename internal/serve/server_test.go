@@ -215,23 +215,33 @@ func TestCostShedAndBudgetKill(t *testing.T) {
 		t.Fatalf("cost shed not counted")
 	}
 
-	// A declared-parallel version of the same footprint is ALSO safe to
-	// admit: two forked siblings each holding 6000 price at 6000 + K·1 =
-	// 7024 (inside the 7372-byte band), and the scheduler's space bound
-	// keeps their actual overlap near S1 — the job completes inside the
-	// budget rather than overrunning it.
-	child := func() *SpecNode {
+	// A declared-parallel version of the same footprint is refused too.
+	// Its two forked siblings each hold 6000 bytes, and on two workers
+	// both can be live at once (12000 bytes, past the 8192 budget). The
+	// price says so: S1 + min(K,S1)·p·D = 6000 + 1024·2·1 = 8048, beyond
+	// the 7372-byte band, so the gate sheds it instead of admitting a job
+	// the budget kill would have to stop mid-run.
+	side := func(n int64) *SpecNode {
 		return &SpecNode{Label: "side", Instrs: []SpecInstr{
-			{Op: "alloc", N: 6000}, {Op: "work", N: 20000}, {Op: "free", N: 6000},
+			{Op: "alloc", N: n}, {Op: "work", N: 20000}, {Op: "free", N: n},
 		}}
 	}
-	blowup := &SpecNode{Label: "root", Instrs: []SpecInstr{
-		{Op: "fork", Child: child()},
-		{Op: "fork", Child: child()},
-		{Op: "work", N: 1},
-		{Op: "join"}, {Op: "join"},
-	}}
-	code, st, _ := postJob(t, ts, JobRequest{Tenant: "hog", Spec: blowup}, true)
+	pair := func(n int64) *SpecNode {
+		return &SpecNode{Label: "root", Instrs: []SpecInstr{
+			{Op: "fork", Child: side(n)},
+			{Op: "fork", Child: side(n)},
+			{Op: "work", N: 1},
+			{Op: "join"}, {Op: "join"},
+		}}
+	}
+	code, _, ae = postJob(t, ts, JobRequest{Tenant: "hog", Spec: pair(6000)}, true)
+	if code != http.StatusTooManyRequests || ae.Code != api.CodeCostShed {
+		t.Fatalf("parallel whale: want 429 cost_shed, got %d (%+v)", code, ae)
+	}
+	// A parallel job the gate clears completes inside the budget even when
+	// its siblings overlap: 2500-byte siblings price at 2500 + 2048 = 4548
+	// and peak at 5000 live bytes on two workers.
+	code, st, _ := postJob(t, ts, JobRequest{Tenant: "hog", Spec: pair(2500)}, true)
 	if code != http.StatusOK || st.Status != "done" {
 		t.Fatalf("priced-parallel job should run inside the bound: %d %+v", code, st)
 	}

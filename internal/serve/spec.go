@@ -58,9 +58,9 @@ type runnable struct {
 }
 
 // compile validates a request's shape and returns its driver, priced for
-// cost-based admission against threshold k (the runtime's K). Errors are
-// client errors (HTTP 400).
-func compile(req JobRequest, k int64) (runnable, error) {
+// cost-based admission against threshold k (the runtime's K) on p
+// workers. Errors are client errors (HTTP 400).
+func compile(req JobRequest, k, p int64) (runnable, error) {
 	set := 0
 	if req.Scenario != "" {
 		set++
@@ -78,9 +78,9 @@ func compile(req JobRequest, k int64) (runnable, error) {
 	case req.Scenario != "":
 		return compileScenario(req)
 	case req.Tree != nil:
-		return compileTree(req, k)
+		return compileTree(req, k, p)
 	default:
-		return compileSpec(req, k)
+		return compileSpec(req, k, p)
 	}
 }
 
@@ -108,7 +108,7 @@ func compileScenario(req JobRequest) (runnable, error) {
 	}, nil
 }
 
-func compileTree(req JobRequest, k int64) (runnable, error) {
+func compileTree(req JobRequest, k, p int64) (runnable, error) {
 	tr := *req.Tree
 	if tr.Depth < 0 || tr.Depth > maxTreeDepth {
 		return runnable{}, fmt.Errorf("tree depth must be in [0, %d], got %d", maxTreeDepth, tr.Depth)
@@ -133,10 +133,10 @@ func compileTree(req JobRequest, k int64) (runnable, error) {
 	for d := 0; d < tr.Depth; d++ {
 		spec = dag.Par2("node", spec, spec) // specs are immutable and shareable
 	}
-	return runnable{kind: fmt.Sprintf("tree:d%d", tr.Depth), cost: price(spec, k), run: specRunner(spec, req.WorkScale)}, nil
+	return runnable{kind: fmt.Sprintf("tree:d%d", tr.Depth), cost: price(spec, k, p), run: specRunner(spec, req.WorkScale)}, nil
 }
 
-func compileSpec(req JobRequest, k int64) (runnable, error) {
+func compileSpec(req JobRequest, k, p int64) (runnable, error) {
 	spec, _, err := lowerSpec(req.Spec, 0, 0)
 	if err != nil {
 		return runnable{}, err
@@ -146,7 +146,7 @@ func compileSpec(req JobRequest, k int64) (runnable, error) {
 	if err := dag.Validate(spec); err != nil {
 		return runnable{}, err
 	}
-	return runnable{kind: "spec", cost: price(spec, k), run: specRunner(spec, req.WorkScale)}, nil
+	return runnable{kind: "spec", cost: price(spec, k, p), run: specRunner(spec, req.WorkScale)}, nil
 }
 
 // lowerSpec converts the wire tree into a dag.ThreadSpec, enforcing the

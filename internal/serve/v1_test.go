@@ -426,7 +426,7 @@ func TestControllerConvergence(t *testing.T) {
 }
 
 // TestCostPricing pins the price function: S1 from the child-first
-// serial walk plus K per nesting level.
+// serial walk plus min(K, S1) per worker and nesting level.
 func TestCostPricing(t *testing.T) {
 	// Sequential siblings don't stack serially: peak is one child.
 	seq := &SpecNode{Label: "r", Instrs: []SpecInstr{
@@ -436,12 +436,30 @@ func TestCostPricing(t *testing.T) {
 			{Op: "alloc", N: 500}, {Op: "work", N: 1}, {Op: "free", N: 500}}}},
 		{Op: "work", N: 1}, {Op: "join"}, {Op: "join"},
 	}}
-	run, err := compileSpec(JobRequest{Spec: seq}, 100)
+	run, err := compileSpec(JobRequest{Spec: seq}, 100, 1)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	if run.cost != 600+100*1 {
 		t.Fatalf("sequential siblings: want %d, got %d", 600+100, run.cost)
+	}
+	// On p workers each worker can run one quota ahead per level.
+	run, err = compileSpec(JobRequest{Spec: seq}, 100, 4)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if run.cost != 600+100*4*1 {
+		t.Fatalf("sequential siblings on 4 workers: want %d, got %d", 600+400, run.cost)
+	}
+	// A quota larger than S1 (or none at all) is capped at S1.
+	for _, k := range []int64{5000, 0} {
+		run, err = compileSpec(JobRequest{Spec: seq}, k, 2)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		if run.cost != 600+600*2*1 {
+			t.Fatalf("K=%d: want %d, got %d", k, 600+1200, run.cost)
+		}
 	}
 	// Nested un-freed allocations stack, and depth multiplies K.
 	nest := &SpecNode{Label: "r", Instrs: []SpecInstr{
@@ -454,7 +472,7 @@ func TestCostPricing(t *testing.T) {
 		}}},
 		{Op: "work", N: 1}, {Op: "join"}, {Op: "free", N: 100},
 	}}
-	run, err = compileSpec(JobRequest{Spec: nest}, 100)
+	run, err = compileSpec(JobRequest{Spec: nest}, 100, 1)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -462,7 +480,7 @@ func TestCostPricing(t *testing.T) {
 		t.Fatalf("nested: want %d, got %d", 600+200, run.cost)
 	}
 	// Trees price at leaf size + K·depth (leaves free before siblings).
-	runTree, err := compileTree(JobRequest{Tree: &TreeSpec{Depth: 3, Alloc: 128}}, 50)
+	runTree, err := compileTree(JobRequest{Tree: &TreeSpec{Depth: 3, Alloc: 128}}, 50, 1)
 	if err != nil {
 		t.Fatalf("tree: %v", err)
 	}

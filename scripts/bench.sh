@@ -98,8 +98,7 @@ awk -v label="$label" '
 	workers = 0
 	if (match(name, /\/p[0-9]+/)) workers = substr(name, RSTART + 2, RLENGTH - 2)
 	engine = "struct"
-	if (name ~ /\/channel/) engine = "channel"
-	else if (name ~ /\/coarse/) engine = "coarse"
+	if (name ~ /\/coarse/) engine = "coarse"
 	else if (name ~ /\/fine/) engine = "fine"
 	else if (name ~ /^BenchmarkGrtSpeedup/) engine = "fine"
 	else if (name ~ /^BenchmarkGrtForkJoinCost/) engine = "fine"
@@ -114,28 +113,5 @@ awk -v label="$label" '
 BEGIN { printf "{\n \"label\": \"" label "\",\n \"benchmarks\": [\n  " }
 END { printf "\n ]\n}\n" }
 ' "$tmp" > "$out"
-
-# Work-first payoff table: every benchmark that ran on both frame engines
-# appears once, continuation ns/op against its /channel twin, with the
-# channel/cont ratio (higher = bigger win for work-first execution).
-awk '
-/"op":/ {
-	op = $0; sub(/.*"op": "/, "", op); sub(/".*/, "", op)
-	if (match($0, /"ns_per_op": [0-9.]+/))
-		nsfor[op] = substr($0, RSTART + 13, RLENGTH - 13)
-	order[++n] = op
-}
-END {
-	printed = 0
-	for (i = 1; i <= n; i++) {
-		op = order[i]
-		if (op !~ /\/channel$/) continue
-		cont = op; sub(/\/channel$/, "", cont)
-		if (!(cont in nsfor) || nsfor[cont] == "" || nsfor[op] == "") continue
-		if (!printed++)
-			printf "\n%-48s %12s %12s %8s\n", "engine comparison", "cont ns/op", "chan ns/op", "ratio"
-		printf "%-48s %12.0f %12.0f %7.2fx\n", cont, nsfor[cont], nsfor[op], nsfor[op] / nsfor[cont]
-	}
-}' "$out"
 
 echo "wrote $out"

@@ -15,7 +15,19 @@ go vet ./...
 if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 fi
-go test ./...
+# The suite at several core counts: it must pass whether one CPU
+# time-slices the workers or they truly run in parallel (-count=1: the
+# test cache does not key on GOMAXPROCS).
+for procs in 1 2 4; do
+    GOMAXPROCS=$procs go test -count=1 ./...
+done
+# The replay-verifier-backed tests and the cost gate, repeated at each
+# core count: schedule-dependent failures show up only across many runs.
+for procs in 1 2 4; do
+    GOMAXPROCS=$procs go test -count=20 \
+        -run 'TestVerify|TestExportRealRunLoadsBack|TestScenarioCrossEngine|TestCrossEngineInvariants|TestCostShedAndBudgetKill' \
+        ./internal/rtrace/ ./internal/grt/ ./internal/serve/
+done
 go test -race ./internal/grt/... ./internal/deque/... ./internal/core/... ./internal/policy/... ./internal/rtrace/... ./internal/serve/...
 # Serving-layer soak (short mode): 8 tenants over HTTP with one
 # over-budget hog, asserting isolation (429s + budget kills for the hog
