@@ -106,17 +106,18 @@ func main() {
 		g = workload.Medium
 	}
 
+	rc := realCfg{
+		sched: *schedName, procs: *procs, workers: *workers, k: *k,
+		seed: *seed, coarse: *coarse, measure: *measure,
+		trace: *traceFile, tracebuf: *tracebuf, json: *jsonOut,
+		grain: g, bench: *bench, timeout: *timeout,
+	}
 	if *scenario != "" {
 		if !*real {
 			fmt.Fprintln(os.Stderr, "dfdsim: -scenario runs on the real runtime; add -real")
 			os.Exit(2)
 		}
-		runScenario(*scenario, *scale, realCfg{
-			sched: *schedName, procs: *procs, workers: *workers, k: *k,
-			seed: *seed, coarse: *coarse, measure: *measure,
-			trace: *traceFile, tracebuf: *tracebuf, json: *jsonOut,
-			grain: g, bench: *bench, timeout: *timeout,
-		})
+		runScenario(*scenario, *scale, rc)
 		return
 	}
 
@@ -136,12 +137,7 @@ func main() {
 	}
 
 	if *real {
-		runReal(spec, realCfg{
-			sched: *schedName, procs: *procs, workers: *workers, k: *k,
-			seed: *seed, coarse: *coarse, measure: *measure,
-			trace: *traceFile, tracebuf: *tracebuf, json: *jsonOut,
-			grain: g, bench: *bench, timeout: *timeout,
-		})
+		runReal(spec, rc)
 		return
 	}
 	if *traceFile != "" {
@@ -190,8 +186,7 @@ func main() {
 	m := machine.New(cfg, s)
 	met, err := m.Run(spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-		os.Exit(1)
+		die(err)
 	}
 	if *jsonOut {
 		emitJSON(map[string]any{
@@ -233,20 +228,11 @@ func main() {
 	}
 }
 
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // emitJSON writes one object on stdout — the machine-readable twin of the
 // text report, field-styled after scripts/bench.sh snapshots.
 func emitJSON(obj map[string]any) {
-	enc := json.NewEncoder(os.Stdout)
-	if err := enc.Encode(obj); err != nil {
-		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-		os.Exit(1)
+	if err := json.NewEncoder(os.Stdout).Encode(obj); err != nil {
+		die(err)
 	}
 }
 
@@ -283,108 +269,141 @@ type realCfg struct {
 	timeout         time.Duration
 }
 
-// runReal executes the workload on the real goroutine-backed runtime and
-// prints its stats, including the contention counters; with -trace it
-// records every scheduling event and writes a Chrome trace_event file.
-func runReal(spec *dag.ThreadSpec, rc realCfg) {
-	kind, k := realKind(rc)
-	workers := rc.workers
-	if workers <= 0 {
-		workers = rc.procs
-	}
+// realRun is what runReal and runScenario share: the resolved scheduler,
+// the runtime, its trace recorder, and the run's context.
+type realRun struct {
+	rc      realCfg
+	kind    grt.Kind
+	k       int64
+	workers int
+	rt      *grt.Runtime
+	rec     *rtrace.Recorder
+	ctx     context.Context
+	cancel  context.CancelFunc
+}
 
-	sm := dag.Measure(spec)
-	if !rc.json {
-		fmt.Printf("benchmark: %s (%s grain)  W=%d D=%d S1=%d threads=%d\n",
-			rc.bench, rc.grain, sm.W, sm.D, sm.HeapHW, sm.TotalThreads)
+// startReal builds the runtime rc describes. Workers default to -procs;
+// -trace attaches a recorder; -timeout puts a deadline on the run's
+// context, which cancels the job mid-flight — its threads are poisoned at
+// their next scheduling points and the runtime drains before Shutdown
+// returns.
+func startReal(rc realCfg) *realRun {
+	r := &realRun{rc: rc, workers: rc.workers}
+	r.kind, r.k = realKind(rc)
+	if r.workers <= 0 {
+		r.workers = rc.procs
 	}
-
 	cfg := grt.Config{
-		Workers: workers, Sched: kind, K: k, Seed: rc.seed,
+		Workers: r.workers, Sched: r.kind, K: r.k, Seed: rc.seed,
 		CoarseLock: rc.coarse, MeasureContention: rc.measure,
 	}
-	var rec *rtrace.Recorder
 	if rc.trace != "" {
 		if !rtrace.Enabled {
 			fmt.Fprintln(os.Stderr, "dfdsim: built with -tags grtnotrace; tracing is compiled out")
 			os.Exit(2)
 		}
-		rec = rtrace.NewRecorder(workers, rc.tracebuf)
-		cfg.Probe = rec
+		r.rec = rtrace.NewRecorder(r.workers, rc.tracebuf)
+		cfg.Probe = r.rec
 	}
-	// The lifecycle API: a deadline context cancels the job mid-flight —
-	// its threads are poisoned at their next scheduling points and the
-	// runtime drains before Shutdown returns.
-	root, err := grt.SpecBody(spec, 1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-		os.Exit(1)
-	}
-	ctx := context.Background()
+	r.ctx, r.cancel = context.Background(), func() {}
 	if rc.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rc.timeout)
-		defer cancel()
+		r.ctx, r.cancel = context.WithTimeout(r.ctx, rc.timeout)
 	}
 	rt, err := grt.New(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-		os.Exit(1)
+		die(err)
 	}
-	job, err := rt.Submit(ctx, root)
+	r.rt = rt
+	return r
+}
+
+// stop shuts the runtime down.
+func (r *realRun) stop() {
+	r.rt.Shutdown(context.Background())
+	r.cancel()
+}
+
+// exportTrace writes the Chrome trace_event file of a -trace run and
+// returns its summary (nil without -trace).
+func (r *realRun) exportTrace() *rtrace.Summary {
+	if r.rec == nil {
+		return nil
+	}
+	f, err := os.Create(r.rc.trace)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-		os.Exit(1)
+		die(err)
 	}
-	js, jerr := job.Wait()
-	rt.Shutdown(context.Background())
-	if jerr != nil {
-		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", jerr)
-		os.Exit(1)
+	meta, evs, dropped := r.rec.Meta(), r.rec.Events(), r.rec.Dropped()
+	if err := rtrace.Export(f, meta, evs, dropped); err == nil {
+		err = f.Close()
 	}
-	st := rt.Stats(js)
+	if err != nil {
+		die(fmt.Errorf("writing trace: %w", err))
+	}
+	sum := rtrace.Summarize(meta, evs, dropped)
+	return &sum
+}
 
-	var sum *rtrace.Summary
-	if rec != nil {
-		f, err := os.Create(rc.trace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rtrace.Export(f, rec.Meta(), rec.Events(), rec.Dropped()); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dfdsim: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		s := rtrace.Summarize(rec.Meta(), rec.Events(), rec.Dropped())
-		sum = &s
-	}
-
+// jsonHead starts a run's JSON object with the fields every real run
+// reports.
+func (r *realRun) jsonHead(op string) map[string]any {
 	engine := "fine"
-	if rc.coarse {
+	if r.rc.coarse {
 		engine = "coarse"
 	}
+	return map[string]any{"op": op, "workers": r.workers, "engine": engine, "k": r.k, "seed": r.rc.seed}
+}
+
+// runtimeLine is the text report's runtime line; label is padded to the
+// report's column.
+func (r *realRun) runtimeLine(label string) string {
+	engine := "fine-grained"
+	if r.rc.coarse {
+		engine = "coarse (global lock)"
+	}
+	return fmt.Sprintf("%s%v  workers=%d  K=%d  seed=%d  engine=%s\n\n",
+		label, r.kind, r.workers, r.k, r.rc.seed, engine)
+}
+
+// runReal executes the workload on the real goroutine-backed runtime and
+// prints its stats, including the contention counters; with -trace it
+// records every scheduling event and writes a Chrome trace_event file.
+func runReal(spec *dag.ThreadSpec, rc realCfg) {
+	sm := dag.Measure(spec)
+	if !rc.json {
+		fmt.Printf("benchmark: %s (%s grain)  W=%d D=%d S1=%d threads=%d\n",
+			rc.bench, rc.grain, sm.W, sm.D, sm.HeapHW, sm.TotalThreads)
+	}
+	root, err := grt.SpecBody(spec, 1)
+	if err != nil {
+		die(err)
+	}
+	r := startReal(rc)
+	job, err := r.rt.Submit(r.ctx, root)
+	if err != nil {
+		die(err)
+	}
+	js, jerr := job.Wait()
+	r.stop()
+	if jerr != nil {
+		die(jerr)
+	}
+	st := r.rt.Stats(js)
+	sum := r.exportTrace()
+
 	if rc.json {
-		obj := map[string]any{
-			"op":               fmt.Sprintf("dfdsim/%s/%v", rc.bench, kind),
-			"workers":          workers,
-			"engine":           engine,
-			"k":                k,
-			"seed":             rc.seed,
-			"total_threads":    st.TotalThreads,
-			"dummy_threads":    st.DummyThreads,
-			"max_live_threads": st.MaxLiveThreads,
-			"heap_hw":          st.HeapHW,
-			"serial_heap_hw":   sm.HeapHW,
-			"steals":           st.Steals,
-			"failed_steals":    st.FailedSteals,
-			"local_dispatches": st.LocalDispatches,
-			"preemptions":      st.Preemptions,
-			"max_deques":       st.MaxDeques,
-			"sched_lock_ops":   st.SchedLockOps,
-		}
+		obj := r.jsonHead(fmt.Sprintf("dfdsim/%s/%v", rc.bench, r.kind))
+		obj["total_threads"] = st.TotalThreads
+		obj["dummy_threads"] = st.DummyThreads
+		obj["max_live_threads"] = st.MaxLiveThreads
+		obj["heap_hw"] = st.HeapHW
+		obj["serial_heap_hw"] = sm.HeapHW
+		obj["steals"] = st.Steals
+		obj["failed_steals"] = st.FailedSteals
+		obj["local_dispatches"] = st.LocalDispatches
+		obj["preemptions"] = st.Preemptions
+		obj["max_deques"] = st.MaxDeques
+		obj["sched_lock_ops"] = st.SchedLockOps
 		if rc.measure {
 			obj["sched_lock_ns"] = st.SchedLockNs
 			obj["steal_wait_ns"] = st.StealWaitNs
@@ -395,12 +414,7 @@ func runReal(spec *dag.ThreadSpec, rc realCfg) {
 		emitJSON(obj)
 		return
 	}
-	engineName := "fine-grained"
-	if rc.coarse {
-		engineName = "coarse (global lock)"
-	}
-	fmt.Printf("runtime:   %v  workers=%d  K=%d  seed=%d  engine=%s\n\n",
-		kind, workers, k, rc.seed, engineName)
+	fmt.Print(r.runtimeLine("runtime:   "))
 	fmt.Printf("total threads:       %d (%d dummy)\n", st.TotalThreads, st.DummyThreads)
 	fmt.Printf("max live threads:    %d\n", st.MaxLiveThreads)
 	fmt.Printf("heap high-water:     %d bytes (%.2f × S1)\n",
@@ -455,99 +469,34 @@ func runScenario(name string, scale int, rc realCfg) {
 		fmt.Fprintf(os.Stderr, "dfdsim: unknown scenario %q (pipeline|stream|taskgraph)\n", name)
 		os.Exit(2)
 	}
-	kind, k := realKind(rc)
-	workers := rc.workers
-	if workers <= 0 {
-		workers = rc.procs
-	}
 	scfg := workload.ScenarioConfig{Seed: rc.seed, Scale: scale}
-
-	cfg := grt.Config{
-		Workers: workers, Sched: kind, K: k, Seed: rc.seed,
-		CoarseLock: rc.coarse, MeasureContention: rc.measure,
-	}
-	var rec *rtrace.Recorder
-	if rc.trace != "" {
-		if !rtrace.Enabled {
-			fmt.Fprintln(os.Stderr, "dfdsim: built with -tags grtnotrace; tracing is compiled out")
-			os.Exit(2)
-		}
-		rec = rtrace.NewRecorder(workers, rc.tracebuf)
-		cfg.Probe = rec
-	}
-	ctx := context.Background()
-	if rc.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rc.timeout)
-		defer cancel()
-	}
-	rt, err := grt.New(cfg)
+	r := startReal(rc)
+	checksum, err := sc.Run(r.ctx, r.rt, scfg)
+	r.stop()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-		os.Exit(1)
+		die(fmt.Errorf("%s: %w", sc.Name, err))
 	}
-	checksum, err := sc.Run(ctx, rt, scfg)
-	rt.Shutdown(context.Background())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dfdsim: %s: %v\n", sc.Name, err)
-		os.Exit(1)
+	if want := sc.Expect(scfg); checksum != want {
+		die(fmt.Errorf("%s: checksum %#x does not match the serial reference %#x", sc.Name, checksum, want))
 	}
-	want := sc.Expect(scfg)
-	if checksum != want {
-		fmt.Fprintf(os.Stderr, "dfdsim: %s: checksum %#x does not match the serial reference %#x\n",
-			sc.Name, checksum, want)
-		os.Exit(1)
-	}
+	sum := r.exportTrace()
 
-	var sum *rtrace.Summary
-	if rec != nil {
-		f, err := os.Create(rc.trace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rtrace.Export(f, rec.Meta(), rec.Events(), rec.Dropped()); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dfdsim: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		s := rtrace.Summarize(rec.Meta(), rec.Events(), rec.Dropped())
-		sum = &s
-	}
-
-	engine := "fine"
-	if rc.coarse {
-		engine = "coarse"
-	}
 	if rc.json {
-		obj := map[string]any{
-			"op":          fmt.Sprintf("dfdsim/scenario/%s/%v", sc.Name, kind),
-			"workers":     workers,
-			"engine":      engine,
-			"k":           k,
-			"seed":        rc.seed,
-			"scale":       scfg.Scale,
-			"jobs":        sc.Jobs(scfg),
-			"threads":     sc.Threads(scfg),
-			"checksum":    fmt.Sprintf("%#x", checksum),
-			"checksum_ok": true,
-		}
+		obj := r.jsonHead(fmt.Sprintf("dfdsim/scenario/%s/%v", sc.Name, r.kind))
+		obj["scale"] = scfg.Scale
+		obj["jobs"] = sc.Jobs(scfg)
+		obj["threads"] = sc.Threads(scfg)
+		obj["checksum"] = fmt.Sprintf("%#x", checksum)
+		obj["checksum_ok"] = true
 		if sum != nil {
 			obj["trace"] = sum
 		}
 		emitJSON(obj)
 		return
 	}
-	engineName := "fine-grained"
-	if rc.coarse {
-		engineName = "coarse (global lock)"
-	}
 	fmt.Printf("scenario: %s (scale %d)  jobs=%d threads=%d\n",
 		sc.Name, scfg.Scale, sc.Jobs(scfg), sc.Threads(scfg))
-	fmt.Printf("runtime:  %v  workers=%d  K=%d  seed=%d  engine=%s\n\n",
-		kind, workers, k, rc.seed, engineName)
+	fmt.Print(r.runtimeLine("runtime:  "))
 	fmt.Printf("checksum: %#x (matches the serial reference)\n", checksum)
 	if sum != nil {
 		fmt.Printf("\ntrace: %d events (%d dropped) → %s\n", sum.Events, sum.Dropped, rc.trace)
@@ -558,4 +507,10 @@ func runScenario(name string, scale int, rc realCfg) {
 		fmt.Printf("  sched granularity: %.2f dispatches/shared-acquire\n", sum.SchedGranularity)
 		printCache(sum)
 	}
+}
+
+// die reports err and exits non-zero.
+func die(err error) {
+	fmt.Fprintf(os.Stderr, "dfdsim: %v\n", err)
+	os.Exit(1)
 }

@@ -150,7 +150,8 @@ type SimConfig struct {
 	// byte budget.
 	AdaptiveTarget int64
 	// ClusterGroups > 1 selects the multi-level cluster scheduler (§7):
-	// DFDeques per SMP node with affinity-first cross-node stealing.
+	// DFDeques per SMP node with affinity-first cross-node stealing. The
+	// other variants apply to it too.
 	ClusterGroups int
 	// ClusterCrossLatency is the extra stall per cross-node steal.
 	ClusterCrossLatency int64
@@ -172,17 +173,14 @@ func Simulate(p *Program, cfg SimConfig) (SimMetrics, error) {
 	var s machine.Scheduler
 	switch cfg.Scheduler {
 	case "DFD":
-		if cfg.ClusterGroups > 1 {
-			cl := sched.NewClustered(cfg.K, cfg.ClusterGroups)
-			cl.CrossLatency = cfg.ClusterCrossLatency
-			s = cl
-			break
+		s = &sched.DFDeques{
+			K:            cfg.K,
+			TargetSpace:  cfg.AdaptiveTarget,
+			StealFromTop: cfg.StealFromTop,
+			FullWindow:   cfg.FullWindow,
+			Groups:       cfg.ClusterGroups,
+			CrossLatency: cfg.ClusterCrossLatency,
 		}
-		d := sched.NewDFDeques(cfg.K)
-		d.TargetSpace = cfg.AdaptiveTarget
-		d.StealFromTop = cfg.StealFromTop
-		d.FullWindow = cfg.FullWindow
-		s = d
 	case "DFD-inf":
 		s = sched.NewDFDeques(0)
 	case "WS":

@@ -3,33 +3,40 @@
 // structure: the globally ordered list R of ready deques together with the
 // owner/thief operations of algorithm DFDeques.
 //
-// The structure is deliberately free of threads, time, and locking so two
-// very different engines can drive it:
+// It holds the two R implementations, one per engine:
 //
-//   - the machine simulator's DFDeques scheduler (internal/sched) drives a
-//     Pool serially, using BeginRound/StealFrom for the §4.1 per-timestep
-//     steal arbitration (at most one successful steal per deque per round)
-//     and its ablation switches;
-//   - the concurrent runtime's DFDeques policy (internal/policy) uses the
-//     fine-grained SharedPool variant;
-//   - tests drive both directly to property-check the Lemma 3.1 ordering
-//     invariants without a machine in the loop.
+//   - Pool, the serial simulator's: the machine simulator's DFDeques
+//     scheduler (internal/sched) drives one Pool — or one per processor
+//     group under the §7 cluster variant — using BeginRound with
+//     StealFrom or Migrate for the §4.1 per-timestep steal arbitration
+//     (at most one successful steal per deque per round) and its
+//     ablation switches;
+//   - SharedPool, the concurrent runtime's (internal/policy), with
+//     fine-grained synchronization.
+//
+// They stay separate because their geometry differs as well as their
+// synchronization: the simulator runs the child at a fork, so a Pool
+// deque holds its highest-priority thread at the top and a thief's deque
+// goes right of its victim; the runtime is work-first, so a SharedPool
+// deque holds it at the bottom and a thief's deque goes left. A shared
+// core would have to branch on its caller. Tests drive both directly to
+// property-check the Lemma 3.1 ordering invariants without a machine in
+// the loop.
 package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dfdeques/internal/deque"
 )
 
 // Pool is the DFDeques ready pool for p workers. It is NOT safe for
-// concurrent use; callers serialize access (one mutex in practice, §5).
+// concurrent use; callers serialize access (the simulator is one
+// goroutine).
 type Pool[T comparable] struct {
 	p    int
 	r    deque.List[T]
 	own  []*deque.Deque[T]
-	rng  *rand.Rand
 	less func(a, b T) bool // 1DF priority: less = higher priority
 
 	steals    int64
@@ -38,31 +45,33 @@ type Pool[T comparable] struct {
 	maxR      int
 
 	// stolen arbitrates steals within one timestep of the simulator's cost
-	// model (§4.1): at most one steal per deque per round succeeds. Only
-	// StealFrom consults it; Steal (the real-time path) never does.
+	// model (§4.1): at most one steal per deque per round succeeds.
 	stolen map[*deque.Deque[T]]bool
 }
 
 // NewPool builds a pool for p workers. less reports whether a has higher
 // 1DF priority than b; it is used to place threads woken by
-// synchronization (§5's extension) and by CheckInvariants. rng drives
-// victim selection.
-func NewPool[T comparable](p int, less func(a, b T) bool, rng *rand.Rand) *Pool[T] {
+// synchronization (§5's extension) and by CheckInvariants.
+func NewPool[T comparable](p int, less func(a, b T) bool) *Pool[T] {
 	if p < 1 {
 		panic("core: pool needs at least one worker")
 	}
 	return &Pool[T]{
 		p:    p,
 		own:  make([]*deque.Deque[T], p),
-		rng:  rng,
 		less: less,
 	}
 }
 
+// Workers returns the pool's worker count p: the width of the leftmost-p
+// steal window.
+func (pl *Pool[T]) Workers() int { return pl.p }
+
 // Seed places the root thread into a fresh, unowned deque at the left end
 // of R, ready to be stolen by the first idle worker.
 func (pl *Pool[T]) Seed(root T) {
-	d := pl.r.PushLeft()
+	d := deque.NewDeque[T]()
+	pl.r.Insert(0, d)
 	d.PushTop(root)
 	pl.noteR()
 }
@@ -110,40 +119,9 @@ func (pl *Pool[T]) GiveUp(w int) {
 	pl.own[w] = nil
 }
 
-// Steal performs one steal attempt for worker w: pick a uniformly random
-// deque among the leftmost p in R, pop its bottom thread, and become owner
-// of a new deque placed immediately to the victim's right. ok is false if
-// the attempt failed (nonexistent or empty victim). The worker must not
-// own a deque.
-func (pl *Pool[T]) Steal(w int) (x T, ok bool) {
-	if pl.own[w] != nil {
-		panic("core: Steal while owning a deque")
-	}
-	c := pl.rng.Intn(pl.p)
-	if c >= pl.r.Len() {
-		pl.failed++
-		return x, false
-	}
-	victim := pl.r.Kth(c)
-	x, ok = victim.PopBottom()
-	if !ok {
-		pl.failed++
-		return x, false
-	}
-	nd := pl.r.InsertRight(victim)
-	nd.Owner = w
-	pl.own[w] = nd
-	if victim.Empty() && victim.Owner == -1 {
-		pl.r.Delete(victim)
-	}
-	pl.noteR()
-	pl.steals++
-	return x, true
-}
-
 // BeginRound starts a new steal round of the simulator's cost model:
 // every deque becomes stealable again (§4.1 allows at most one successful
-// steal per deque per timestep, arbitrated by StealFrom).
+// steal per deque per timestep, arbitrated by StealFrom and Migrate).
 func (pl *Pool[T]) BeginRound() {
 	if pl.stolen == nil {
 		pl.stolen = make(map[*deque.Deque[T]]bool, pl.p)
@@ -151,47 +129,66 @@ func (pl *Pool[T]) BeginRound() {
 	clear(pl.stolen)
 }
 
-// StealFrom is the deterministic, arbitrated variant of Steal: the caller
-// names the victim as an index c from the left end of R (the leftmost-p
-// sample, with the window choice — and the randomness — in the caller's
-// hands), and at most one StealFrom per deque succeeds between
-// BeginRound calls. fromTop is the steal-from-top ablation: the thief
-// takes the victim's newest thread instead of its bottom one, and its new
-// deque goes to the victim's left to keep R roughly ordered. The worker
-// must not own a deque.
+// StealFrom makes one steal attempt for worker w: the caller names the
+// victim as an index c from the left end of R (the leftmost-p sample,
+// with the window choice — and the randomness — in the caller's hands),
+// and at most one steal per deque succeeds between BeginRound calls. The
+// thief pops the victim's bottom and owns a new deque placed immediately
+// to the victim's right. fromTop is the steal-from-top ablation: the
+// thief takes the victim's newest thread instead, and its new deque goes
+// to the victim's left to keep R roughly ordered. ok is false if the
+// attempt failed (nonexistent, empty or already-stolen victim). The
+// worker must not own a deque.
 func (pl *Pool[T]) StealFrom(w, c int, fromTop bool) (x T, ok bool) {
+	return pl.steal(w, pl, c, fromTop)
+}
+
+// Migrate is StealFrom across pools, for schedulers that keep one R per
+// processor group: worker w of pl steals the bottom of deque c of from's
+// R, under from's per-round arbitration, and owns a new deque at the
+// left end of pl's R — the migrated thread is the coarsest,
+// highest-priority work the thief's group now holds.
+func (pl *Pool[T]) Migrate(w int, from *Pool[T], c int) (x T, ok bool) {
+	return pl.steal(w, from, c, false)
+}
+
+// steal is the one steal path: worker w of pl takes a thread from deque c
+// of src's R and owns a new deque in pl's R.
+func (pl *Pool[T]) steal(w int, src *Pool[T], c int, fromTop bool) (x T, ok bool) {
 	if pl.own[w] != nil {
-		panic("core: StealFrom while owning a deque")
+		panic("core: steal while owning a deque")
 	}
-	if c >= pl.r.Len() {
+	if c >= src.r.Len() {
 		pl.failed++
 		return x, false
 	}
-	victim := pl.r.Kth(c)
-	if victim.Empty() || pl.stolen[victim] {
+	victim := src.r.Kth(c)
+	if victim.Empty() || src.stolen[victim] {
 		pl.failed++
 		return x, false
 	}
-	if pl.stolen == nil {
-		pl.stolen = make(map[*deque.Deque[T]]bool, pl.p)
+	if src.stolen == nil {
+		src.stolen = make(map[*deque.Deque[T]]bool, src.p)
 	}
-	pl.stolen[victim] = true
-	var nd *deque.Deque[T]
-	if fromTop {
-		x, _ = victim.PopTop()
-		if pos := victim.Pos(); pos == 0 {
-			nd = pl.r.PushLeft()
-		} else {
-			nd = pl.r.InsertRight(pl.r.Kth(pos - 1))
-		}
-	} else {
+	src.stolen[victim] = true
+	var at int
+	switch {
+	case src != pl:
 		x, _ = victim.PopBottom()
-		nd = pl.r.InsertRight(victim)
+		at = 0
+	case fromTop:
+		x, _ = victim.PopTop()
+		at = victim.Pos()
+	default:
+		x, _ = victim.PopBottom()
+		at = victim.Pos() + 1
 	}
+	nd := deque.NewDeque[T]()
 	nd.Owner = w
+	pl.r.Insert(at, nd)
 	pl.own[w] = nd
 	if victim.Empty() && victim.Owner == -1 {
-		pl.r.Delete(victim)
+		src.r.Delete(victim)
 	}
 	pl.noteR()
 	pl.steals++
@@ -213,12 +210,8 @@ func (pl *Pool[T]) PushWoken(x T) {
 			break
 		}
 	}
-	var nd *deque.Deque[T]
-	if insertAt == 0 {
-		nd = pl.r.PushLeft()
-	} else {
-		nd = pl.r.InsertRight(pl.r.Kth(insertAt - 1))
-	}
+	nd := deque.NewDeque[T]()
+	pl.r.Insert(insertAt, nd)
 	nd.PushTop(x)
 	pl.noteR()
 }
@@ -258,16 +251,49 @@ func (pl *Pool[T]) noteR() {
 }
 
 // CheckInvariants verifies the Lemma 3.1 ordering over the pool's deques:
-// every deque is priority-sorted top to bottom, and deques are ordered
-// left to right by decreasing priority. curr gives each worker's currently
-// executing thread (ok=false when idle) for clause (2).
+// CheckDeques' per-deque clauses (1) and (2), and clause (3) — deques are
+// ordered left to right by decreasing priority.
 func (pl *Pool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
+	if err := pl.CheckDeques(curr); err != nil {
+		return err
+	}
+	var havePrev bool
+	var prevBottom T
 	for i := 0; i < pl.r.Len(); i++ {
-		items := pl.r.Kth(i).Items()
+		d := pl.r.Kth(i)
+		top, ok := d.PeekTop()
+		if !ok {
+			continue
+		}
+		if havePrev && !pl.less(prevBottom, top) {
+			return fmt.Errorf("core: lemma 3.1(3): deque %d out of order", i)
+		}
+		prevBottom, _ = d.PeekBottom()
+		havePrev = true
+	}
+	return nil
+}
+
+// CheckDeques verifies the clauses of Lemma 3.1 that hold deque by deque:
+// (1) every deque is priority-sorted top to bottom, and (2) a worker's
+// executing thread has higher priority than its deque's top; and that no
+// empty deque is left unowned. curr gives each worker's currently
+// executing thread (ok=false when idle). A pool that receives Migrate's
+// deques at its left end keeps these clauses but not clause (3).
+func (pl *Pool[T]) CheckDeques(curr func(w int) (T, bool)) error {
+	for i := 0; i < pl.r.Len(); i++ {
+		d := pl.r.Kth(i)
+		items := d.Items()
 		for j := 1; j < len(items); j++ {
 			if !pl.less(items[j], items[j-1]) {
 				return fmt.Errorf("core: lemma 3.1(1): deque %d unsorted at %d", i, j)
 			}
+		}
+		// Every operation deletes a deque it empties unless the owner
+		// keeps it; an empty unowned deque would be unstealable dead
+		// weight in R.
+		if len(items) == 0 && d.Owner == -1 {
+			return fmt.Errorf("core: empty deque %d in R is unowned", i)
 		}
 	}
 	for w := 0; w < pl.p; w++ {
@@ -282,26 +308,6 @@ func (pl *Pool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
 		if top, ok := d.PeekTop(); ok && !pl.less(x, top) {
 			return fmt.Errorf("core: lemma 3.1(2): worker %d below its deque top", w)
 		}
-	}
-	var havePrev bool
-	var prevBottom T
-	for i := 0; i < pl.r.Len(); i++ {
-		d := pl.r.Kth(i)
-		top, ok := d.PeekTop()
-		if !ok {
-			// Every operation deletes a deque it empties unless the owner
-			// keeps it; an empty unowned deque would be unstealable dead
-			// weight in R.
-			if d.Owner == -1 {
-				return fmt.Errorf("core: empty deque %d in R is unowned", i)
-			}
-			continue
-		}
-		if havePrev && !pl.less(prevBottom, top) {
-			return fmt.Errorf("core: lemma 3.1(3): deque %d out of order", i)
-		}
-		prevBottom, _ = d.PeekBottom()
-		havePrev = true
 	}
 	return nil
 }

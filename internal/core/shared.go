@@ -205,7 +205,7 @@ func (pl *SharedPool[T]) retire(w int, d *deque.Deque[T]) {
 func (pl *SharedPool[T]) Seed(root T) {
 	pl.lockList()
 	d := pl.takeFree()
-	pl.r.InsertReuse(0, d)
+	pl.r.Insert(0, d)
 	pl.trace(-1, rtrace.EvDequeCreate, d.ID, -1, 0)
 	if pl.tidOf != nil {
 		pl.trace(-1, rtrace.EvPush, pl.tidOf(root), d.ID, 0)
@@ -366,7 +366,7 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 	}
 	pl.ready.Add(-1)
 	nd := pl.takeFree()
-	pl.r.InsertReuse(victim.Pos(), nd)
+	pl.r.Insert(victim.Pos(), nd)
 	nd.Owner = w
 	if pl.tidOf != nil {
 		pl.trace(w, rtrace.EvSteal, pl.tidOf(x), victim.ID, nd.ID)
@@ -411,7 +411,7 @@ func (pl *SharedPool[T]) PushWoken(w int, x T) {
 	if insertAt > 0 {
 		after = pl.r.Kth(insertAt - 1).ID
 	}
-	pl.r.InsertReuse(insertAt, nd)
+	pl.r.Insert(insertAt, nd)
 	pl.trace(w, rtrace.EvDequeCreate, nd.ID, after, 1)
 	if pl.tidOf != nil {
 		pl.trace(w, rtrace.EvPush, pl.tidOf(x), nd.ID, 0)

@@ -14,7 +14,9 @@ func BenchmarkListKth(b *testing.B) {
 		b.Run(sizeName(n), func(b *testing.B) {
 			var l deque.List[int]
 			for i := 0; i < n; i++ {
-				l.PushRight().PushTop(i)
+				d := deque.NewDeque[int]()
+				l.Insert(i, d)
+				d.PushTop(i)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -32,12 +34,15 @@ func BenchmarkListInsertDelete(b *testing.B) {
 		b.Run(sizeName(n), func(b *testing.B) {
 			var l deque.List[int]
 			for i := 0; i < n; i++ {
-				l.PushRight().PushTop(i)
+				d := deque.NewDeque[int]()
+				l.Insert(i, d)
+				d.PushTop(i)
 			}
 			victim := l.Kth(n / 2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d := l.InsertRight(victim)
+				d := deque.NewDeque[int]()
+				l.Insert(victim.Pos()+1, d)
 				l.Delete(d)
 			}
 		})

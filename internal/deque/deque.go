@@ -3,14 +3,23 @@
 //
 //   - Deque: a doubly-ended queue of ready threads. The owner processor
 //     treats it as a LIFO stack (PushTop/PopTop); thief processors steal
-//     from the bottom (PopBottom), which holds the thread with the lowest
-//     1DF priority in the deque — typically the coarsest thread.
+//     from the bottom (PopBottom), which holds the oldest thread — the
+//     coarsest one.
 //
-//   - List: the global list R of deques, ordered by thread priority from
-//     left (highest) to right (lowest). It supports inserting a new deque
-//     immediately to the right of a victim, deleting a deque, and indexing
-//     the k-th deque from the left end — the operation steals use to pick
-//     a victim among the leftmost p deques.
+//   - List: the list R of deques, ordered by thread priority from left
+//     (highest) to right (lowest). It supports inserting a deque at any
+//     index, deleting a deque, and indexing the k-th deque from the left
+//     end — the operation steals use to pick a victim among the leftmost
+//     p deques.
+//
+// Which end of a deque holds its highest-priority thread, and so which
+// side of its victim a thief's new deque belongs on, is the scheduler's
+// geometry, not the package's. In the simulator's (internal/core.Pool) a
+// fork pushes the parent and runs the child, so the bottom holds the
+// lowest-priority thread and a thief's deque goes right of its victim; in
+// the runtime's work-first engine (internal/core.SharedPool) a fork pushes
+// the child, so the bottom holds the highest-priority thread and a
+// thief's deque goes left.
 package deque
 
 import (
@@ -114,9 +123,10 @@ func unpack(w uint64) (tag, bot uint32) { return uint32(w >> 32), uint32(w) }
 // store nil interfaces), and the zero value of T must never be pushed:
 // it is reserved as the scrub sentinel for vacated slots, which foreign
 // PeekTop relies on to reject ABA-on-top reads (top, unlike the bottom
-// word, carries no generation tag). Every scheduler instantiates deques
-// with pointer element types and pushes non-nil pointers, satisfying
-// all three trivially.
+// word, carries no generation tag). The schedulers instantiate deques
+// with pointer element types and push non-nil pointers, satisfying all
+// three trivially; a value type such as int64 (the deque calibration in
+// perfbench) works as long as its zero is never pushed.
 type Deque[T comparable] struct {
 	bottom atomic.Uint64                  // (tag << 32) | bot — the thief word
 	top    atomic.Int64                   // owner-written; live window is [bot, top)
@@ -500,7 +510,7 @@ func (d *Deque[T]) Pos() int {
 //
 // Cost model: the slice backing makes Kth — the steal hot path's
 // k-th-from-left victim indexing — O(1), at the price of O(n) membership
-// changes (insertAt and Delete shift the tail and renumber positions).
+// changes (Insert and Delete shift the tail and renumber positions).
 // That is the right trade for DFDeques: every steal attempt indexes into
 // the leftmost-p window, while the list only changes on successful steals
 // and give-ups, and len(R) stays near the processor count for small K
@@ -516,44 +526,14 @@ func (l *List[T]) Len() int { return len(l.deques) }
 // Kth returns the k-th deque from the left end (0-based).
 func (l *List[T]) Kth(k int) *Deque[T] { return l.deques[k] }
 
-// PushLeft creates a new deque at the left end of R and returns it.
-func (l *List[T]) PushLeft() *Deque[T] {
-	d := NewDeque[T]()
-	l.insertAt(0, d)
-	return d
-}
-
-// PushRight creates a new deque at the right end of R and returns it.
-func (l *List[T]) PushRight() *Deque[T] {
-	d := NewDeque[T]()
-	l.insertAt(len(l.deques), d)
-	return d
-}
-
-// InsertRight creates a new deque immediately to the right of victim
-// (which must be in R) and returns it.
-func (l *List[T]) InsertRight(victim *Deque[T]) *Deque[T] {
-	if victim.list != l {
-		panic("deque: InsertRight victim not in this list")
-	}
-	d := NewDeque[T]()
-	l.insertAt(victim.pos+1, d)
-	return d
-}
-
-// InsertReuse inserts d — a fresh or Reset freelist deque not in any
-// list — at index i of R (0 = the left end, Len() = the right end), so
-// the deque previously at index i and everything right of it shift one
-// place right. Schedulers with deque freelists use it to keep membership
-// changes allocation-free.
-func (l *List[T]) InsertReuse(i int, d *Deque[T]) {
+// Insert puts d — a NewDeque, or a Reset freelist deque — at index i of
+// R (0 = the left end, Len() = the right end), so the deque previously at
+// index i and everything right of it shift one place right. d must not
+// be in any list.
+func (l *List[T]) Insert(i int, d *Deque[T]) {
 	if d.list != nil {
-		panic("deque: InsertReuse deque already in a list")
+		panic("deque: Insert deque already in a list")
 	}
-	l.insertAt(i, d)
-}
-
-func (l *List[T]) insertAt(i int, d *Deque[T]) {
 	l.deques = append(l.deques, nil)
 	copy(l.deques[i+1:], l.deques[i:])
 	l.deques[i] = d

@@ -104,16 +104,23 @@ func TestDequeMixedAgainstReference(t *testing.T) {
 	}
 }
 
+// insert puts a NewDeque at index i of r and returns it.
+func insert(r *List[int], i int) *Deque[int] {
+	d := NewDeque[int]()
+	r.Insert(i, d)
+	return d
+}
+
 func TestListInsertRightOrdering(t *testing.T) {
 	var r List[int]
-	a := r.PushLeft()
-	b := r.InsertRight(a)
-	c := r.InsertRight(a) // lands between a and b
+	a := insert(&r, 0)
+	b := insert(&r, a.Pos()+1)
+	c := insert(&r, a.Pos()+1) // lands between a and b
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", r.Len())
 	}
 	if r.Kth(0) != a || r.Kth(1) != c || r.Kth(2) != b {
-		t.Fatal("InsertRight produced wrong order")
+		t.Fatal("insert right of a produced wrong order")
 	}
 	if a.Pos() != 0 || c.Pos() != 1 || b.Pos() != 2 {
 		t.Fatal("positions not maintained")
@@ -122,9 +129,9 @@ func TestListInsertRightOrdering(t *testing.T) {
 
 func TestListDelete(t *testing.T) {
 	var r List[int]
-	a := r.PushRight()
-	b := r.PushRight()
-	c := r.PushRight()
+	a := insert(&r, 0)
+	b := insert(&r, 1)
+	c := insert(&r, 2)
 	r.Delete(b)
 	if r.Len() != 2 || r.Kth(0) != a || r.Kth(1) != c {
 		t.Fatal("Delete broke order")
@@ -141,7 +148,7 @@ func TestListDelete(t *testing.T) {
 func TestListWalkEarlyStop(t *testing.T) {
 	var r List[int]
 	for i := 0; i < 5; i++ {
-		r.PushRight()
+		insert(&r, i)
 	}
 	visited := 0
 	r.Walk(func(*Deque[int]) bool {
@@ -155,9 +162,9 @@ func TestListWalkEarlyStop(t *testing.T) {
 
 func TestCrossListInsertPanics(t *testing.T) {
 	var r1, r2 List[int]
-	a := r1.PushLeft()
-	_ = r2.PushLeft()
-	mustPanic(t, func() { r2.InsertRight(a) })
+	a := insert(&r1, 0)
+	_ = insert(&r2, 0)
+	mustPanic(t, func() { r2.Insert(0, a) })
 }
 
 // TestListPositionsQuick property-checks that after an arbitrary script of
@@ -170,12 +177,12 @@ func TestListPositionsQuick(t *testing.T) {
 		for _, b := range script {
 			switch {
 			case r.Len() == 0 || b%4 == 0:
-				all = append(all, r.PushLeft())
+				all = append(all, insert(&r, 0))
 			case b%4 == 1:
-				all = append(all, r.PushRight())
+				all = append(all, insert(&r, r.Len()))
 			case b%4 == 2:
 				victim := r.Kth(int(b) % r.Len())
-				all = append(all, r.InsertRight(victim))
+				all = append(all, insert(&r, victim.Pos()+1))
 			default:
 				d := r.Kth(int(b) % r.Len())
 				r.Delete(d)
@@ -349,7 +356,7 @@ func TestPopZeroesVacatedSlots(t *testing.T) {
 // TestStaleThiefCASFailsAcrossReset).
 func TestResetClearsState(t *testing.T) {
 	var l List[int]
-	d := l.PushLeft()
+	d := insert(&l, 0)
 	d.Owner = 3
 	d.ID = 17
 	d.PushTop(1)

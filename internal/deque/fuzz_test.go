@@ -2,8 +2,8 @@ package deque_test
 
 // FuzzDequeConcurrent drives a Deque/List pair through random
 // interleavings of the operations the DFDeques scheduler performs —
-// owner PushTop/PopTop, thief PopBottom with InsertRight, give-up and
-// Delete — while an oracle (a simple total order standing in for the
+// owner PushTop/PopTop, thief PopBottom with an Insert right of the
+// victim, give-up and Delete — while an oracle (a simple total order standing in for the
 // om-list) checks the Lemma 3.1 priority-ordering invariant after every
 // single step: reading R left to right and each deque top to bottom
 // yields strictly decreasing priorities.
@@ -93,7 +93,7 @@ func FuzzDequeConcurrent(f *testing.F) {
 	f.Add([]byte{3,
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // w0 forks 6 deep
 		2, 1, 2, 2, 2, 3, // thieves 1–3 strip deque 0's bottom
-		0, 1, 0, 2, 0, 3, // stolen cells fork (InsertRight deques)
+		0, 1, 0, 2, 0, 3, // stolen cells fork (deques inserted right)
 		1, 1, 1, 2, 1, 3, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0})
 	// Backpressure shape: a consumer steals, gives its deque up
 	// (suspending on a full buffer), re-steals the abandoned work, and a
@@ -147,8 +147,9 @@ func FuzzDequeConcurrent(f *testing.F) {
 		// Seed: worker 0 runs the root thread from a fresh leftmost deque.
 		root := &item{id: -1}
 		oracle.order = []*item{root}
-		own[0] = r.PushLeft()
+		own[0] = deque.NewDeque[*item]()
 		own[0].Owner = 0
+		r.Insert(0, own[0])
 		curr[0] = root
 
 		check := func(step int, op string) {
@@ -222,7 +223,7 @@ func FuzzDequeConcurrent(f *testing.F) {
 				}
 				check(step, "terminate")
 
-			case 2: // steal: PopBottom a leftmost-p victim, InsertRight
+			case 2: // steal: PopBottom a leftmost-p victim, insert right of it
 				if curr[w] != nil || r.Len() == 0 {
 					continue
 				}
@@ -240,8 +241,9 @@ func FuzzDequeConcurrent(f *testing.F) {
 					check(step, "steal-miss")
 					continue
 				}
-				nd := r.InsertRight(victim)
+				nd := deque.NewDeque[*item]()
 				nd.Owner = w
+				r.Insert(victim.Pos()+1, nd)
 				own[w], curr[w] = nd, x
 				if victim.Empty() && victim.Owner < 0 {
 					r.Delete(victim)

@@ -15,8 +15,9 @@
 // This runtime keeps that protocol available behind Config.CoarseLock for
 // differential testing — the same worker loop, with every scheduling
 // event additionally serialized behind one global mutex — but defaults to
-// the policies' fine-grained synchronization: a per-deque lock for owner
-// push/pop, a spine lock on R taken only by steals and membership
+// the policies' fine-grained synchronization: lock-free deques (the owner
+// pushes and pops with atomic loads and stores, a thief claims the bottom
+// with one CAS), a spine lock on R taken only by steals and membership
 // changes, a dedicated read-write lock for the priority order, per-thread
 // locks for the join protocol, and atomic heap-quota accounting so the
 // Alloc path takes no lock at all. See DESIGN.md §5 ("beyond the paper").

@@ -101,8 +101,7 @@ func Clustered(o Options) *stats.Table {
 	spec := workload.DenseMM(grain)
 	for _, groups := range []int{1, 2, 4} {
 		for _, lat := range []int64{0, 100} {
-			s := sched.NewClustered(o.K, groups)
-			s.CrossLatency = lat
+			s := &sched.DFDeques{K: o.K, Groups: groups, CrossLatency: lat}
 			m := machine.New(pure(procs, o.Seed), s)
 			met, err := m.Run(spec)
 			if err != nil {

@@ -6,23 +6,29 @@ import (
 	"dfdeques/internal/dag"
 )
 
-func TestTransformNoLargeAllocsReturnsSameSpec(t *testing.T) {
-	spec := dag.NewThread("small").Alloc(50).Work(3).Free(50).Spec()
-	if got := TransformLargeAllocs(spec, 100); got != spec {
-		t.Fatal("spec without large allocations must be returned unchanged")
+// splice runs the runtime transformation on a fresh thread of spec whose
+// instruction pc is the big allocation of n bytes, returning the
+// rewritten spec.
+func splice(spec *dag.ThreadSpec, pc int, n, k int64) *dag.ThreadSpec {
+	t := &Thread{Spec: spec, PC: pc}
+	(&Machine{}).spliceDummies(t, n, k)
+	if t.PC != 0 {
+		panic("splice must restart the thread at its rewritten spec")
 	}
+	return t.Spec
 }
 
 func TestTransformRewritesLargeAlloc(t *testing.T) {
-	spec := dag.NewThread("big").Alloc(1000).Free(1000).Spec()
-	got := TransformLargeAllocs(spec, 100)
+	spec := dag.NewThread("big").Work(2).Alloc(1000).Free(1000).Spec()
+	got := splice(spec, 1, 1000, 100)
 	if got == spec {
 		t.Fatal("expected a rewritten spec")
 	}
 	if err := dag.Validate(got); err != nil {
 		t.Fatal(err)
 	}
-	// Layout: fork(dummy tree), join, exempt alloc, free.
+	// Layout: fork(dummy tree), join, exempt alloc, then the rest of the
+	// thread after the allocation.
 	ops := []dag.Op{dag.OpFork, dag.OpJoin, dag.OpAlloc, dag.OpFree}
 	if len(got.Instrs) != len(ops) {
 		t.Fatalf("instrs = %d, want %d", len(got.Instrs), len(ops))
@@ -32,8 +38,8 @@ func TestTransformRewritesLargeAlloc(t *testing.T) {
 			t.Fatalf("instr %d = %v, want %v", i, got.Instrs[i].Op, op)
 		}
 	}
-	if !got.Instrs[2].Exempt {
-		t.Fatal("rewritten alloc must be quota-exempt")
+	if !got.Instrs[2].Exempt || got.Instrs[2].N != 1000 {
+		t.Fatal("rewritten alloc must be the same size and quota-exempt")
 	}
 	// The dummy tree must hold ⌈1000/100⌉ = 10 OpDummy leaves.
 	if n := countDummies(got); n != 10 {
@@ -41,20 +47,11 @@ func TestTransformRewritesLargeAlloc(t *testing.T) {
 	}
 }
 
-func TestTransformSharedSubtreeRewrittenOnce(t *testing.T) {
-	shared := dag.NewThread("shared").Alloc(500).Free(500).Spec()
-	root := dag.NewThread("root").Fork(shared).Fork(shared).Join().Join().Spec()
-	got := TransformLargeAllocs(root, 100)
-	if got.Instrs[0].Child != got.Instrs[1].Child {
-		t.Fatal("shared child must map to one rewritten spec")
-	}
-}
-
 func TestTransformDepthLogarithmic(t *testing.T) {
-	// ⌈2^16 / 1⌉ dummies in a binary tree: depth grows by O(log), not O(n).
+	// ⌈2^10 / 1⌉ dummies in a binary tree: depth grows by O(log), not O(n).
 	spec := dag.NewThread("big").Alloc(1 << 10).Free(1 << 10).Spec()
 	base := dag.Measure(spec)
-	got := dag.Measure(TransformLargeAllocs(spec, 1))
+	got := dag.Measure(splice(spec, 0, 1<<10, 1))
 	// A binary tree of 1024 leaves adds ~4–5 actions of depth per level
 	// (two forks and two joins), i.e. O(log n), not O(n).
 	if got.D > base.D+6*10+10 {
@@ -65,15 +62,7 @@ func TestTransformDepthLogarithmic(t *testing.T) {
 	}
 }
 
-func TestTransformKZeroIsIdentity(t *testing.T) {
-	spec := dag.NewThread("big").Alloc(1000).Free(1000).Spec()
-	if got := TransformLargeAllocs(spec, 0); got != spec {
-		t.Fatal("K=0 must be the identity")
-	}
-}
-
 func countDummies(spec *dag.ThreadSpec) int {
-	seen := map[*dag.ThreadSpec]int{}
 	var walk func(*dag.ThreadSpec) int
 	walk = func(s *dag.ThreadSpec) int {
 		// Count per dynamic instance (shared specs fork multiple times).
@@ -88,6 +77,5 @@ func countDummies(spec *dag.ThreadSpec) int {
 		}
 		return n
 	}
-	_ = seen
 	return walk(spec)
 }

@@ -227,9 +227,6 @@ func (pl *WSPool[T]) HasWork() bool { return pl.ready.Load() > 0 }
 // concurrent callers get only the deque's nonblocking foreign reads.
 func (pl *WSPool[T]) At(i int) *deque.Deque[T] { return pl.dq[i] }
 
-// Inbox returns the shared injection deque (trace id Workers()).
-func (pl *WSPool[T]) Inbox() *deque.Deque[T] { return pl.inbox }
-
 // Stats returns (steals, failed attempts, local dispatches, and injectMu
 // acquisitions — the pool's only remaining lock, taken exclusively by
 // injectors; the worker hot paths are mutex-free).

@@ -68,13 +68,8 @@ func (s *ADF) OnFork(p int, parent, child *machine.Thread) *machine.Thread {
 	return child
 }
 
-// OnJoinSuspend implements machine.Scheduler.
-func (s *ADF) OnJoinSuspend(p int, t *machine.Thread) *machine.Thread {
-	return s.dispatch(p)
-}
-
-// OnBlocked implements machine.Scheduler.
-func (s *ADF) OnBlocked(p int, t *machine.Thread) *machine.Thread {
+// OnSuspend implements machine.Scheduler.
+func (s *ADF) OnSuspend(p int, t *machine.Thread) *machine.Thread {
 	return s.dispatch(p)
 }
 

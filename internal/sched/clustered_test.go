@@ -13,7 +13,7 @@ func TestClusteredRunsToCompletion(t *testing.T) {
 	spec := dncDag(8, 2048, 16)
 	want := dag.Measure(spec)
 	for _, groups := range []int{1, 2, 4} {
-		s := sched.NewClustered(0, groups)
+		s := &sched.DFDeques{Groups: groups}
 		m := machine.New(machine.Config{Procs: 8, Seed: 1}, s)
 		met, err := m.Run(spec)
 		if err != nil {
@@ -25,29 +25,33 @@ func TestClusteredRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestClusteredSingleGroupBehavesLikeDFD: one group is the plain DFDeques
+// path, schedule for schedule — on a nested-parallel dag and on Barnes
+// Hut, whose lock wake-ups enter R at their priority position either way.
 func TestClusteredSingleGroupBehavesLikeDFD(t *testing.T) {
-	spec := dncDag(8, 4096, 16)
-	cl := sched.NewClustered(2048, 1)
-	mc := machine.New(machine.Config{Procs: 4, Seed: 2}, cl)
-	metC, err := mc.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	df := sched.NewDFDeques(2048)
-	md := machine.New(machine.Config{Procs: 4, Seed: 2}, df)
-	metD, err := md.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Not schedule-identical (failure bookkeeping differs slightly) but
-	// statistically the same algorithm: time and space within 25%.
-	ratio := float64(metC.Steps) / float64(metD.Steps)
-	if ratio < 0.75 || ratio > 1.33 {
-		t.Errorf("1-group clustered time ratio vs DFD = %.2f", ratio)
-	}
-	sr := float64(metC.HeapHW) / float64(metD.HeapHW)
-	if sr < 0.5 || sr > 2 {
-		t.Errorf("1-group clustered space ratio vs DFD = %.2f", sr)
+	bh, _ := workload.ByName("Barnes Hut")
+	for _, c := range []struct {
+		name  string
+		spec  *dag.ThreadSpec
+		procs int
+	}{
+		{"dnc", dncDag(8, 4096, 16), 4},
+		{"Barnes Hut", bh.Build(workload.Medium), 8},
+	} {
+		cl := &sched.DFDeques{K: 2048, Groups: 1}
+		metC, err := machine.New(machine.Config{Procs: c.procs, Seed: 2}, cl).Run(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		df := sched.NewDFDeques(2048)
+		metD, err := machine.New(machine.Config{Procs: c.procs, Seed: 2}, df).Run(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if metC.Steps != metD.Steps || metC.HeapHW != metD.HeapHW || metC.Steals != metD.Steals {
+			t.Errorf("%s: 1-group clustered steps/heap/steals = %d/%d/%d, DFD = %d/%d/%d", c.name,
+				metC.Steps, metC.HeapHW, metC.Steals, metD.Steps, metD.HeapHW, metD.Steals)
+		}
 	}
 }
 
@@ -55,7 +59,7 @@ func TestClusteredCrossStealsHappenAndAreRarer(t *testing.T) {
 	// Small K forces frequent deque give-ups, so steady-state stealing
 	// dominates the initial cross-group work migration.
 	spec := dncDag(10, 8192, 8)
-	s := sched.NewClustered(1024, 4)
+	s := &sched.DFDeques{K: 1024, Groups: 4}
 	m := machine.New(machine.Config{Procs: 8, Seed: 3}, s)
 	met, err := m.Run(spec)
 	if err != nil {
@@ -76,8 +80,7 @@ func TestClusteredCrossStealsHappenAndAreRarer(t *testing.T) {
 func TestClusteredCrossLatencySlowsRun(t *testing.T) {
 	spec := dncDag(8, 0, 64)
 	run := func(lat int64) int64 {
-		s := sched.NewClustered(0, 4)
-		s.CrossLatency = lat
+		s := &sched.DFDeques{Groups: 4, CrossLatency: lat}
 		m := machine.New(machine.Config{Procs: 8, Seed: 4}, s)
 		met, err := m.Run(spec)
 		if err != nil {
@@ -93,7 +96,7 @@ func TestClusteredCrossLatencySlowsRun(t *testing.T) {
 
 func TestClusteredInvariants(t *testing.T) {
 	spec := dncDag(7, 4096, 16)
-	s := sched.NewClustered(1024, 2)
+	s := &sched.DFDeques{K: 1024, Groups: 2}
 	m := machine.New(machine.Config{Procs: 8, Seed: 5, CheckInvariants: true}, s)
 	if _, err := m.Run(spec); err != nil {
 		t.Fatal(err)
@@ -101,10 +104,10 @@ func TestClusteredInvariants(t *testing.T) {
 }
 
 func TestClusteredOnRealBenchmarks(t *testing.T) {
-	for _, w := range []string{"Dense MM", "Sparse MVM"} {
+	for _, w := range []string{"Dense MM", "Sparse MVM", "Barnes Hut"} {
 		wl, _ := workload.ByName(w)
 		spec := wl.Build(workload.Medium)
-		s := sched.NewClustered(3000, 2)
+		s := &sched.DFDeques{K: 3000, Groups: 2}
 		m := machine.New(machine.Config{Procs: 8, Seed: 6}, s)
 		if _, err := m.Run(spec); err != nil {
 			t.Fatalf("%s: %v", w, err)
@@ -114,7 +117,7 @@ func TestClusteredOnRealBenchmarks(t *testing.T) {
 
 func TestClusteredGroupsClampedToProcs(t *testing.T) {
 	spec := dncDag(5, 0, 8)
-	s := sched.NewClustered(0, 64) // more groups than processors
+	s := &sched.DFDeques{Groups: 64} // more groups than processors
 	m := machine.New(machine.Config{Procs: 4, Seed: 7}, s)
 	if _, err := m.Run(spec); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,8 @@
 //
 //   - DFDeques(K): the paper's contribution (§3) — globally ordered deques
 //     (core.Pool), per-steal memory quota K, steal-from-bottom among the
-//     leftmost p.
+//     leftmost p; with Groups > 1, the §7 cluster variant (one core.Pool
+//     per SMP node).
 //   - WS: the provably space-efficient work stealer of Blumofe & Leiserson
 //     ("Cilk" in the paper's figures), which DFDeques(∞) degenerates to
 //     (policy.WSPool).
@@ -22,6 +23,8 @@
 package sched
 
 import (
+	"fmt"
+
 	"dfdeques/internal/core"
 	"dfdeques/internal/machine"
 	"dfdeques/internal/policy"
@@ -59,18 +62,48 @@ type DFDeques struct {
 	// 16 MB).
 	MinK, MaxK int64
 
-	m     *machine.Machine
-	pool  *core.Pool[*machine.Thread] // the globally ordered list R
-	quota *policy.Quota
-	dummy []bool // processor executed a dummy action; force give-up at termination
+	// Groups > 1 selects the multi-level strategy the paper sketches for
+	// clusters of SMPs (§7: "the DFDeques algorithm could be deployed
+	// within a single SMP, while some scheme based on data affinity is
+	// used across SMPs"): the processors are split evenly into Groups SMP
+	// nodes (clamped to the processor count), each with its own ordered
+	// list R. An idle processor steals within its group; after crossAfter
+	// consecutive failures it instead migrates the bottom thread of a
+	// random other group's leftmost-window deque (core.Pool.Migrate),
+	// paying CrossLatency extra timesteps for the remote operation.
+	Groups       int
+	CrossLatency int64
+
+	m           *machine.Machine
+	pools       []*core.Pool[*machine.Thread] // one list R per group
+	group       []int                         // processor → its group
+	start       []int                         // group → its first processor; groups are contiguous
+	fails       []int                         // consecutive failed local steals per processor
+	quota       *policy.Quota
+	dummy       []bool // processor executed a dummy action; force give-up at termination
+	crossSteals int64  // successful cross-group steals
 
 	adaptTick int64 // damping counter for the adaptive controller
 }
 
+// crossAfter is how many consecutive failed local steals send a clustered
+// processor to another group.
+const crossAfter = 4
+
 // MaxDeques returns the largest number of deques simultaneously present in
-// R during the run. With K = ∞ it never exceeds the processor count —
-// the structural sense in which DFDeques(∞) is the WS work stealer (§3.3).
-func (s *DFDeques) MaxDeques() int { return s.pool.MaxDeques() }
+// R during the run (in any one group's R when Groups > 1). With K = ∞ it
+// never exceeds the processor count — the structural sense in which
+// DFDeques(∞) is the WS work stealer (§3.3).
+func (s *DFDeques) MaxDeques() int {
+	n := 0
+	for _, pl := range s.pools {
+		n = max(n, pl.MaxDeques())
+	}
+	return n
+}
+
+// CrossSteals reports how many steals crossed group boundaries.
+func (s *DFDeques) CrossSteals() int64 { return s.crossSteals }
 
 // NewDFDeques returns a DFDeques scheduler with memory threshold k bytes
 // (0 = infinity).
@@ -93,31 +126,75 @@ func (s *DFDeques) Init(m *machine.Machine, root *machine.Thread) {
 	p := m.Procs()
 	s.quota = policy.NewQuota(p)
 	s.dummy = make([]bool, p)
+	s.fails = make([]int, p)
 	less := func(a, b *machine.Thread) bool { return a.HigherPriority(b) }
-	s.pool = core.NewPool(p, less, m.Rand)
-	s.pool.Seed(root)
+	groups := min(max(s.Groups, 1), p)
+	s.group = make([]int, p)
+	s.start = make([]int, groups+1)
+	for i := range s.group {
+		s.group[i] = i * groups / p
+	}
+	for g := range s.start {
+		s.start[g] = (g*p + groups - 1) / groups // first i with i*groups/p == g
+	}
+	s.pools = make([]*core.Pool[*machine.Thread], groups)
+	for g := range s.pools {
+		s.pools[g] = core.NewPool(s.start[g+1]-s.start[g], less)
+	}
+	s.pools[0].Seed(root)
+}
+
+// home returns processor p's group pool and its worker index there.
+func (s *DFDeques) home(p int) (*core.Pool[*machine.Thread], int) {
+	g := s.group[p]
+	return s.pools[g], p - s.start[g]
 }
 
 // StealRound implements machine.Scheduler: each idle processor makes one
 // steal attempt targeting the bottom of a deque chosen uniformly at random
-// among the leftmost p deques of R. At most one steal per deque succeeds
-// per timestep (§4.1, arbitrated by the pool); the winner's new deque is
-// placed immediately to the right of the victim, and the victim is deleted
-// if the steal emptied it while unowned.
+// among the leftmost p deques of R (p is the group's processor count when
+// Groups > 1). At most one steal per deque succeeds per timestep (§4.1,
+// arbitrated by the pools); the winner's new deque is placed immediately
+// to the right of the victim, and the victim is deleted if the steal
+// emptied it while unowned. A clustered processor with crossAfter
+// consecutive failures draws a random other group instead and migrates
+// from that group's window.
 func (s *DFDeques) StealRound(idle []int) {
-	s.pool.BeginRound()
+	for _, pl := range s.pools {
+		pl.BeginRound()
+	}
 	s.adaptK()
 	for _, p := range idle {
 		s.quota.Reset(p, s.K)
 		s.dummy[p] = false
-		window := s.m.Procs()
-		if s.FullWindow && s.pool.Deques() > window {
-			window = s.pool.Deques()
+		home, w := s.home(p)
+		from, extra := home, int64(0)
+		if len(s.pools) > 1 && s.fails[p] >= crossAfter {
+			g := s.m.Rand.Intn(len(s.pools) - 1)
+			if g >= s.group[p] {
+				g++
+			}
+			from, extra = s.pools[g], s.CrossLatency
+		}
+		window := from.Workers()
+		if s.FullWindow && from.Deques() > window {
+			window = from.Deques()
 		}
 		c := s.m.Rand.Intn(window)
-		if t, ok := s.pool.StealFrom(p, c, s.StealFromTop); ok {
-			s.m.Assign(p, t)
+		var t *machine.Thread
+		var ok bool
+		if from == home {
+			t, ok = home.StealFrom(w, c, s.StealFromTop)
+		} else if t, ok = home.Migrate(w, from, c); ok {
+			s.crossSteals++
 		}
+		if !ok {
+			s.fails[p]++
+			continue
+		}
+		s.fails[p] = 0
+		s.m.Assign(p, t)
+		s.m.Stall(p, extra)
 	}
 }
 
@@ -157,17 +234,13 @@ func (s *DFDeques) adaptK() {
 // OnFork implements machine.Scheduler: the parent is pushed on top of the
 // processor's deque and the child preempts it (depth-first order).
 func (s *DFDeques) OnFork(p int, parent, child *machine.Thread) *machine.Thread {
-	s.pool.PushOwn(p, parent)
+	pl, w := s.home(p)
+	pl.PushOwn(w, parent)
 	return child
 }
 
-// OnJoinSuspend implements machine.Scheduler.
-func (s *DFDeques) OnJoinSuspend(p int, t *machine.Thread) *machine.Thread {
-	return s.popOwn(p)
-}
-
-// OnBlocked implements machine.Scheduler.
-func (s *DFDeques) OnBlocked(p int, t *machine.Thread) *machine.Thread {
+// OnSuspend implements machine.Scheduler.
+func (s *DFDeques) OnSuspend(p int, t *machine.Thread) *machine.Thread {
 	return s.popOwn(p)
 }
 
@@ -179,10 +252,11 @@ func (s *DFDeques) OnBlocked(p int, t *machine.Thread) *machine.Thread {
 func (s *DFDeques) OnTerminate(p int, t, woke *machine.Thread) *machine.Thread {
 	if s.dummy[p] {
 		s.dummy[p] = false
+		pl, w := s.home(p)
 		if woke != nil {
-			s.pool.PushOwn(p, woke)
+			pl.PushOwn(w, woke)
 		}
-		s.pool.GiveUp(p)
+		pl.GiveUp(w)
 		return nil
 	}
 	if woke != nil {
@@ -192,11 +266,12 @@ func (s *DFDeques) OnTerminate(p int, t, woke *machine.Thread) *machine.Thread {
 }
 
 // OnWake implements machine.Scheduler: a thread woken by a lock release is
-// placed in a new deque inserted at its priority position in R (§5's
-// extension for blocking synchronization; outside the nested-parallel
-// model).
+// placed in a new deque inserted at its priority position in R — the
+// waker's group's R when Groups > 1 (§5's extension for blocking
+// synchronization; outside the nested-parallel model).
 func (s *DFDeques) OnWake(p int, t *machine.Thread) {
-	s.pool.PushWoken(t)
+	pl, _ := s.home(p)
+	pl.PushWoken(t)
 }
 
 // ChargeAlloc implements machine.Scheduler: K bounds the net bytes a
@@ -215,8 +290,9 @@ func (s *DFDeques) CreditFree(p int, t *machine.Thread, n int64) {
 // back on top of the processor's deque, which is then given up (left in R,
 // unowned) — the processor will steal with a fresh quota.
 func (s *DFDeques) OnPreempt(p int, t *machine.Thread) {
-	s.pool.PushOwn(p, t)
-	s.pool.GiveUp(p)
+	pl, w := s.home(p)
+	pl.PushOwn(w, t)
+	pl.GiveUp(w)
 }
 
 // OnDummy implements machine.Scheduler.
@@ -225,7 +301,8 @@ func (s *DFDeques) OnDummy(p int) { s.dummy[p] = true }
 // popOwn pops the top of the processor's own deque; if the deque is empty
 // it is deleted from R and the processor goes idle.
 func (s *DFDeques) popOwn(p int) *machine.Thread {
-	if t, ok := s.pool.PopOwn(p); ok {
+	pl, w := s.home(p)
+	if t, ok := pl.PopOwn(w); ok {
 		s.m.NoteLocalDispatch()
 		return t
 	}
@@ -242,9 +319,21 @@ func (s *DFDeques) popOwn(p int) *machine.Thread {
 //
 // These hold for nested-parallel programs; programs using locks (OnWake)
 // are outside the lemma's scope and must not enable invariant checking.
+// When Groups > 1 each group's R is checked for clauses (1) and (2) only:
+// a migrated deque enters its group's R at the left end whatever its
+// priority.
 func (s *DFDeques) CheckInvariants() error {
-	return s.pool.CheckInvariants(func(w int) (*machine.Thread, bool) {
-		t := s.m.Curr(w)
-		return t, t != nil
-	})
+	for g, pl := range s.pools {
+		curr := func(w int) (*machine.Thread, bool) {
+			t := s.m.Curr(s.start[g] + w)
+			return t, t != nil
+		}
+		if len(s.pools) == 1 {
+			return pl.CheckInvariants(curr)
+		}
+		if err := pl.CheckDeques(curr); err != nil {
+			return fmt.Errorf("group %d: %w", g, err)
+		}
+	}
+	return nil
 }

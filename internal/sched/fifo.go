@@ -51,13 +51,8 @@ func (s *FIFO) OnFork(p int, parent, child *machine.Thread) *machine.Thread {
 	return parent
 }
 
-// OnJoinSuspend implements machine.Scheduler.
-func (s *FIFO) OnJoinSuspend(p int, t *machine.Thread) *machine.Thread {
-	return s.dispatch(p)
-}
-
-// OnBlocked implements machine.Scheduler.
-func (s *FIFO) OnBlocked(p int, t *machine.Thread) *machine.Thread {
+// OnSuspend implements machine.Scheduler.
+func (s *FIFO) OnSuspend(p int, t *machine.Thread) *machine.Thread {
 	return s.dispatch(p)
 }
 

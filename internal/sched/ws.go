@@ -73,13 +73,8 @@ func (s *WS) OnFork(p int, parent, child *machine.Thread) *machine.Thread {
 	return child
 }
 
-// OnJoinSuspend implements machine.Scheduler.
-func (s *WS) OnJoinSuspend(p int, t *machine.Thread) *machine.Thread {
-	return s.popOwn(p)
-}
-
-// OnBlocked implements machine.Scheduler.
-func (s *WS) OnBlocked(p int, t *machine.Thread) *machine.Thread {
+// OnSuspend implements machine.Scheduler.
+func (s *WS) OnSuspend(p int, t *machine.Thread) *machine.Thread {
 	return s.popOwn(p)
 }
 

@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# perfbench is its own module (BENCHMARK.json builds it from its own
+# go.mod), so the root ./... never compiles it; vet and test it here so
+# an internal API change cannot break the benchmark unnoticed.
+(cd perfbench && go vet ./... && go test ./...)
 # staticcheck when available (CI installs it; local runs skip silently so
 # the script stays dependency-free).
 if command -v staticcheck >/dev/null 2>&1; then
