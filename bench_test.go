@@ -173,47 +173,43 @@ func BenchmarkSimulatorPerScheduler(b *testing.B) {
 	}
 }
 
-// BenchmarkGrtContention compares the runtime's two synchronization
-// engines (fine-grained default vs CoarseLock) across worker counts on a
-// steal-heavy workload: a long chain of fork-joins of trivial children
-// with a quota-stressed alloc/free pattern, so deques stay near-empty and
-// nearly every dispatch goes through the shared structures. lockops/op is
-// the number of exclusive serializing-lock acquisitions per run — the
-// direct measure of how much scheduling the engine serializes.
+// BenchmarkGrtContention measures the runtime's scheduler-lock traffic
+// across worker counts on a steal-heavy workload: a long chain of
+// fork-joins of trivial children with a quota-stressed alloc/free
+// pattern, so deques stay near-empty and nearly every dispatch goes
+// through the shared structures. lockops/op is the number of exclusive R
+// spine acquisitions per run — the direct measure of how much scheduling
+// the runtime serializes. The /fine suffix keeps the row names of earlier
+// snapshots.
 func BenchmarkGrtContention(b *testing.B) {
 	const links = 256
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, mode := range []struct {
-			name   string
-			coarse bool
-		}{{"fine", false}, {"coarse", true}} {
-			b.Run(fmt.Sprintf("p%d/%s", workers, mode.name), func(b *testing.B) {
-				var lockOps, steals int64
-				for i := 0; i < b.N; i++ {
-					st, err := dfdeques.Run(dfdeques.RuntimeConfig{
-						Workers: workers, Sched: dfdeques.SchedDFDeques, K: 128,
-						Seed: int64(i), CoarseLock: mode.coarse,
-					}, func(r *dfdeques.Thread) {
-						for j := 0; j < links; j++ {
-							h := r.Fork(func(c *dfdeques.Thread) {
-								c.Alloc(96)
-								c.Free(96)
-							})
-							r.Alloc(96)
-							r.Free(96)
-							r.Join(h)
-						}
-					})
-					if err != nil {
-						b.Fatal(err)
+		b.Run(fmt.Sprintf("p%d/fine", workers), func(b *testing.B) {
+			var lockOps, steals int64
+			for i := 0; i < b.N; i++ {
+				st, err := dfdeques.Run(dfdeques.RuntimeConfig{
+					Workers: workers, Sched: dfdeques.SchedDFDeques, K: 128,
+					Seed: int64(i),
+				}, func(r *dfdeques.Thread) {
+					for j := 0; j < links; j++ {
+						h := r.Fork(func(c *dfdeques.Thread) {
+							c.Alloc(96)
+							c.Free(96)
+						})
+						r.Alloc(96)
+						r.Free(96)
+						r.Join(h)
 					}
-					lockOps += st.SchedLockOps
-					steals += st.Steals
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(lockOps)/float64(b.N), "lockops/op")
-				b.ReportMetric(float64(steals)/float64(b.N), "steals/op")
-			})
-		}
+				lockOps += st.SchedLockOps
+				steals += st.Steals
+			}
+			b.ReportMetric(float64(lockOps)/float64(b.N), "lockops/op")
+			b.ReportMetric(float64(steals)/float64(b.N), "steals/op")
+		})
 	}
 }
 

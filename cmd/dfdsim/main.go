@@ -20,16 +20,14 @@
 //	-realism      enable the §5 cost-model extensions (cache, latencies)
 //	-check        verify Lemma 3.1 invariants per timestep
 //	-json         emit the run's metrics as one JSON object on stdout
-//	              (bench.sh-snapshot field style: op/workers/engine plus
+//	              (bench.sh-snapshot field style: op/workers/k/seed plus
 //	              snake_case metrics), suppressing the text report
 //	-real         run on the real runtime (goroutine workers) instead of
 //	              the simulator; prints grt.Stats with the contention
 //	              counters. DFD-inf maps to DFDeques with K=∞; WS runs the
 //	              per-worker-deque work stealer.
 //	-workers N    real mode: worker count (default: -procs)
-//	-coarselock   real mode: use the single global scheduler lock (§5
-//	              verbatim) instead of the fine-grained engine
-//	-measure      real mode: time lock holds and steal waits
+//	-measure      real mode: time scheduler-lock holds and steal waits
 //	-trace FILE   real mode: record every scheduling event and write a
 //	              Chrome trace_event JSON file (loadable in Perfetto /
 //	              chrome://tracing; also replayable by dfdtrace -verify)
@@ -77,8 +75,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit metrics as a single JSON object")
 	real := flag.Bool("real", false, "run on the real runtime instead of the simulator")
 	workers := flag.Int("workers", 0, "real mode: workers (default -procs)")
-	coarse := flag.Bool("coarselock", false, "real mode: single global scheduler lock")
-	measure := flag.Bool("measure", false, "real mode: time lock holds and steal waits")
+	measure := flag.Bool("measure", false, "real mode: time scheduler-lock holds and steal waits")
 	traceFile := flag.String("trace", "", "real mode: write Chrome trace_event JSON to FILE")
 	tracebuf := flag.Int("tracebuf", 1<<17, "real mode: per-worker trace ring capacity (events)")
 	timeout := flag.Duration("timeout", 0, "real mode: cancel the run after this duration (0 = none)")
@@ -108,7 +105,7 @@ func main() {
 
 	rc := realCfg{
 		sched: *schedName, procs: *procs, workers: *workers, k: *k,
-		seed: *seed, coarse: *coarse, measure: *measure,
+		seed: *seed, measure: *measure,
 		trace: *traceFile, tracebuf: *tracebuf, json: *jsonOut,
 		grain: g, bench: *bench, timeout: *timeout,
 	}
@@ -192,7 +189,6 @@ func main() {
 		emitJSON(map[string]any{
 			"op":                fmt.Sprintf("dfdsim/%s/%s", *bench, s.Name()),
 			"workers":           *procs,
-			"engine":            "sim",
 			"k":                 *k,
 			"seed":              *seed,
 			"steps":             met.Steps,
@@ -257,16 +253,16 @@ func realKind(rc realCfg) (grt.Kind, int64) {
 }
 
 type realCfg struct {
-	sched           string
-	procs, workers  int
-	k, seed         int64
-	coarse, measure bool
-	trace           string
-	tracebuf        int
-	json            bool
-	grain           workload.Grain
-	bench           string
-	timeout         time.Duration
+	sched          string
+	procs, workers int
+	k, seed        int64
+	measure        bool
+	trace          string
+	tracebuf       int
+	json           bool
+	grain          workload.Grain
+	bench          string
+	timeout        time.Duration
 }
 
 // realRun is what runReal and runScenario share: the resolved scheduler,
@@ -295,7 +291,7 @@ func startReal(rc realCfg) *realRun {
 	}
 	cfg := grt.Config{
 		Workers: r.workers, Sched: r.kind, K: r.k, Seed: rc.seed,
-		CoarseLock: rc.coarse, MeasureContention: rc.measure,
+		MeasureContention: rc.measure,
 	}
 	if rc.trace != "" {
 		if !rtrace.Enabled {
@@ -347,22 +343,14 @@ func (r *realRun) exportTrace() *rtrace.Summary {
 // jsonHead starts a run's JSON object with the fields every real run
 // reports.
 func (r *realRun) jsonHead(op string) map[string]any {
-	engine := "fine"
-	if r.rc.coarse {
-		engine = "coarse"
-	}
-	return map[string]any{"op": op, "workers": r.workers, "engine": engine, "k": r.k, "seed": r.rc.seed}
+	return map[string]any{"op": op, "workers": r.workers, "k": r.k, "seed": r.rc.seed}
 }
 
 // runtimeLine is the text report's runtime line; label is padded to the
 // report's column.
 func (r *realRun) runtimeLine(label string) string {
-	engine := "fine-grained"
-	if r.rc.coarse {
-		engine = "coarse (global lock)"
-	}
-	return fmt.Sprintf("%s%v  workers=%d  K=%d  seed=%d  engine=%s\n\n",
-		label, r.kind, r.workers, r.k, r.rc.seed, engine)
+	return fmt.Sprintf("%s%v  workers=%d  K=%d  seed=%d\n\n",
+		label, r.kind, r.workers, r.k, r.rc.seed)
 }
 
 // runReal executes the workload on the real goroutine-backed runtime and

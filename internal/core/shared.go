@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"dfdeques/internal/deque"
@@ -37,9 +36,10 @@ import (
 //     wedge an owner, and owners never block thieves. (This replaces the
 //     PR 5 biased protocol, whose Share bit degraded every owner op to a
 //     plain Mu the moment a thief touched the deque.)
-//   - R's spine (membership and left-to-right order) is guarded by an
-//     RWMutex. Only operations that change membership take it exclusively:
-//     Steal (pop-bottom + insert-left must be one linearization point, or
+//   - R's spine (membership and left-to-right order) is guarded by a
+//     CountedLock, an RWMutex that counts its exclusive holds. Only
+//     operations that change membership take it exclusively: Steal
+//     (pop-bottom + insert-left must be one linearization point, or
 //     two thieves hitting one victim could insert their deques in inverted
 //     priority order), deque deletion, and the woken-thread insert. The
 //     read side covers cheap observations — including Steal's screening
@@ -73,7 +73,7 @@ type SharedPool[T comparable] struct {
 	p    int
 	less func(a, b T) bool
 
-	listMu sync.RWMutex
+	listMu CountedLock
 	r      deque.List[T]
 	own    []atomic.Pointer[deque.Deque[T]] // own[w] written only by worker w
 
@@ -97,12 +97,11 @@ type SharedPool[T comparable] struct {
 	tidOf func(T) int64
 	deqID int64
 
-	ready   atomic.Int64 // stealable threads across all deques in R
-	maxR    atomic.Int64
-	steals  atomic.Int64
-	failed  atomic.Int64
-	local   atomic.Int64
-	listOps atomic.Int64 // exclusive acquisitions of the R spine lock
+	ready  atomic.Int64 // stealable threads across all deques in R
+	maxR   atomic.Int64
+	steals atomic.Int64
+	failed atomic.Int64
+	local  atomic.Int64
 }
 
 // NewSharedPool builds a concurrent pool for p workers; the parameters
@@ -164,12 +163,8 @@ func (pl *SharedPool[T]) trace(w int, k rtrace.Kind, a, b, c int64) {
 	}
 }
 
-// lockList acquires the spine exclusively, counting the acquisition for
-// the contention stats.
-func (pl *SharedPool[T]) lockList() {
-	pl.listMu.Lock()
-	pl.listOps.Add(1)
-}
+// MeasureLocks times the spine lock's exclusive holds (see LockStats).
+func (pl *SharedPool[T]) MeasureLocks() { pl.listMu.Time() }
 
 // takeFree returns a reusable deque with a fresh ID. The caller must hold
 // the spine lock exclusively and insert the deque into R before releasing
@@ -203,7 +198,7 @@ func (pl *SharedPool[T]) retire(w int, d *deque.Deque[T]) {
 // Seed places the root thread into a fresh, unowned deque at the left end
 // of R, ready to be stolen by the first idle worker.
 func (pl *SharedPool[T]) Seed(root T) {
-	pl.lockList()
+	pl.listMu.Lock()
 	d := pl.takeFree()
 	pl.r.Insert(0, d)
 	pl.trace(-1, rtrace.EvDequeCreate, d.ID, -1, 0)
@@ -256,7 +251,7 @@ func (pl *SharedPool[T]) PopOwn(w int) (x T, ok bool) {
 	// Empty: drop ownership and retire the deque. The own pointer is
 	// cleared before the spine unlocks so no reference to the recycled
 	// deque survives the critical section.
-	pl.lockList()
+	pl.listMu.Lock()
 	pl.own[w].Store(nil)
 	if d.InList() { // a thief may have deleted it after draining it
 		pl.retire(w, d)
@@ -303,7 +298,7 @@ func (pl *SharedPool[T]) GiveUp(w int) {
 	if d == nil {
 		return
 	}
-	pl.lockList()
+	pl.listMu.Lock()
 	pl.own[w].Store(nil)
 	if d.Empty() {
 		if d.InList() {
@@ -349,7 +344,7 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 		pl.failed.Add(1)
 		return x, false
 	}
-	pl.lockList()
+	pl.listMu.Lock()
 	if c >= pl.r.Len() { // R shrank between the phases
 		pl.trace(w, rtrace.EvStealAttempt, -1, 0, 0)
 		pl.listMu.Unlock()
@@ -397,7 +392,7 @@ func (pl *SharedPool[T]) Steal(w int) (x T, ok bool) {
 // uncertainties bias the insert rightward, the safe direction for the
 // space bound.
 func (pl *SharedPool[T]) PushWoken(w int, x T) {
-	pl.lockList()
+	pl.listMu.Lock()
 	insertAt := pl.r.Len()
 	for i := 0; i < pl.r.Len(); i++ {
 		bottom, ok := pl.r.Kth(i).PeekBottom()
@@ -445,9 +440,9 @@ func (pl *SharedPool[T]) Stats() (steals, failed, local int64) {
 	return pl.steals.Load(), pl.failed.Load(), pl.local.Load()
 }
 
-// ListLockOps returns the number of exclusive spine-lock acquisitions —
-// the fine-grained analogue of the coarse runtime's scheduler-lock count.
-func (pl *SharedPool[T]) ListLockOps() int64 { return pl.listOps.Load() }
+// LockStats returns the exclusive spine-lock acquisitions and, under
+// MeasureLocks, their total hold time in nanoseconds.
+func (pl *SharedPool[T]) LockStats() (ops, ns int64) { return pl.listMu.Stats() }
 
 // noteR records the R-length high-water mark. Must hold the spine lock.
 func (pl *SharedPool[T]) noteR() {
@@ -476,7 +471,7 @@ func (pl *SharedPool[T]) noteR() {
 // order the scan reads); concurrent owner POPS can yield transient false
 // positives, so call it from tests and quiescent moments.
 func (pl *SharedPool[T]) CheckInvariants(curr func(w int) (T, bool)) error {
-	pl.lockList()
+	pl.listMu.Lock()
 	defer pl.listMu.Unlock()
 	var havePrev bool
 	var prevTop T

@@ -31,19 +31,6 @@ type crossPolicy struct {
 	k    int64
 }
 
-// crossEngine is one real-runtime synchronization configuration: the
-// fine-grained default or the §5 coarse global lock. The policy layer
-// underneath is shared, so every invariant checked here must hold on
-// both.
-type crossEngine struct {
-	name   string
-	coarse bool
-}
-
-func crossEngines() []crossEngine {
-	return []crossEngine{{"fine", false}, {"coarse", true}}
-}
-
 func crossPolicies() []crossPolicy {
 	return []crossPolicy{
 		{"DFD", func() machine.Scheduler { return sched.NewDFDeques(crossK) }, grt.DFDeques, crossK},
@@ -101,41 +88,33 @@ func TestCrossEngineInvariants(t *testing.T) {
 						}
 					}
 
-					for _, eng := range crossEngines() {
-						st, err := grt.RunSpec(grt.Config{
-							Workers: workers, Sched: pol.kind, K: pol.k,
-							Seed: 42, CoarseLock: eng.coarse,
-						}, spec, 1)
-						if err != nil {
-							t.Fatalf("runtime %s: %v", eng.name, err)
-						}
-						if st.TotalThreads != sm.TotalThreads {
-							t.Errorf("%s: total threads: runtime=%d sim=%d",
-								eng.name, st.TotalThreads, sm.TotalThreads)
-						}
-						if st.DummyThreads != sm.DummyThreads {
-							t.Errorf("%s: dummy threads: runtime=%d sim=%d",
-								eng.name, st.DummyThreads, sm.DummyThreads)
-						}
-						if st.HeapLive != 0 {
-							t.Errorf("%s: runtime heap leaked %d bytes", eng.name, st.HeapLive)
-						}
-						if st.HeapHW < want.HeapHW {
-							t.Errorf("%s: runtime heap HW %d below serial floor S1=%d",
-								eng.name, st.HeapHW, want.HeapHW)
-						}
-						if st.Steals+st.LocalDispatches > 2*st.TotalThreads+st.Preemptions {
-							t.Errorf("%s: runtime dispatch conservation violated: steals=%d local=%d threads=%d preempts=%d",
-								eng.name, st.Steals, st.LocalDispatches, st.TotalThreads, st.Preemptions)
-						}
-						if pol.kind == grt.DFDeques && pol.k == 0 && st.MaxDeques > int64(workers) {
-							t.Errorf("%s: runtime DFD-inf max deques = %d > p = %d",
-								eng.name, st.MaxDeques, workers)
-						}
-						if pol.kind == grt.WS && st.MaxDeques != int64(workers) {
-							t.Errorf("%s: WS max deques = %d, structurally must be %d",
-								eng.name, st.MaxDeques, workers)
-						}
+					st, err := grt.RunSpec(grt.Config{
+						Workers: workers, Sched: pol.kind, K: pol.k, Seed: 42,
+					}, spec, 1)
+					if err != nil {
+						t.Fatalf("runtime: %v", err)
+					}
+					if st.TotalThreads != sm.TotalThreads {
+						t.Errorf("total threads: runtime=%d sim=%d", st.TotalThreads, sm.TotalThreads)
+					}
+					if st.DummyThreads != sm.DummyThreads {
+						t.Errorf("dummy threads: runtime=%d sim=%d", st.DummyThreads, sm.DummyThreads)
+					}
+					if st.HeapLive != 0 {
+						t.Errorf("runtime heap leaked %d bytes", st.HeapLive)
+					}
+					if st.HeapHW < want.HeapHW {
+						t.Errorf("runtime heap HW %d below serial floor S1=%d", st.HeapHW, want.HeapHW)
+					}
+					if st.Steals+st.LocalDispatches > 2*st.TotalThreads+st.Preemptions {
+						t.Errorf("runtime dispatch conservation violated: steals=%d local=%d threads=%d preempts=%d",
+							st.Steals, st.LocalDispatches, st.TotalThreads, st.Preemptions)
+					}
+					if pol.kind == grt.DFDeques && pol.k == 0 && st.MaxDeques > int64(workers) {
+						t.Errorf("runtime DFD-inf max deques = %d > p = %d", st.MaxDeques, workers)
+					}
+					if pol.kind == grt.WS && st.MaxDeques != int64(workers) {
+						t.Errorf("WS max deques = %d, structurally must be %d", st.MaxDeques, workers)
 					}
 				})
 			}

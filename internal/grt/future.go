@@ -19,8 +19,8 @@ var errFutureReset = errors.New("grt: Future set twice")
 //
 // Futures take the computation outside the nested-parallel model, so the
 // paper's space bound does not apply; like Mutex, they are executed
-// correctly regardless. The value/waiter state carries its own lock so
-// the fine-grained runtime needs no global serialization around it.
+// correctly regardless. The value/waiter state carries its own lock, so
+// no global serialization surrounds it.
 //
 // The zero value is an unset Future. Set must be called at most once.
 type Future struct {
@@ -92,40 +92,26 @@ func (f *Future) cancelWait(t *T) bool {
 func (f *Future) Set(t *T, v any) {
 	t.checkPoison()
 	rt := t.rt
-	gl := rt.beginEvent()
 	woken, err := f.put(v)
 	if err != nil {
-		rt.endEvent(gl)
 		t.job.fail(err)
 		return
 	}
 	for _, wt := range woken {
 		rt.pol.Wake(t.w, wt)
 	}
-	rt.endEvent(gl)
 	if len(woken) > 0 {
 		rt.wakeIdlers()
 	}
 }
 
-// tryGet reports whether the value is already set — the inline fast
-// path. Like Mutex.tryAcquire it never queues the running frame as a
-// reader; the unset case parks and the worker queues it.
-func (f *Future) tryGet() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.set
-}
-
 // Get returns the future's value, suspending t until it is set.
 func (f *Future) Get(t *T) any {
 	t.checkPoison()
-	gl := t.rt.beginEvent()
-	ok := f.tryGet()
-	t.rt.endEvent(gl)
-	if !ok {
+	if _, ok := f.TryGet(t); !ok {
 		// Unset: park; the worker re-checks under f.mu (a concurrent Set
-		// may have landed) and queues the frame as a reader.
+		// may have landed) and queues the frame as a reader. Like
+		// Mutex.Lock, the running frame never queues itself.
 		t.park(event{kind: evFutureGet, fut: f})
 	}
 	// Either way f.set now holds, and the set happened-before this read

@@ -122,24 +122,19 @@ func (j *Job) fail(err error) {
 }
 
 // charge adjusts the job's heap accounting, and its budget's when it has
-// one. Lock-free; safe from any path. It reports whether the charge
-// overran the budget — the caller must then invoke budgetKill from
-// outside the scheduling-event critical section (cancel takes extMu,
-// which orders before the coarse-mode global lock).
-func (j *Job) charge(n int64) (overBudget bool) {
+// one, canceling the job with ErrBudget when the charge overruns the
+// budget; the budget counts each killed job once (cancel reports only
+// the call that poisoned it). The accounting is lock-free; the kill takes
+// extMu, so the caller must not hold it.
+func (j *Job) charge(n int64) {
 	v := j.heapLive.Add(n)
 	if n > 0 {
 		atomicMax(&j.heapHW, v)
 	}
-	if j.budget != nil {
-		return j.budget.charge(n)
+	if j.budget != nil && j.budget.charge(n) && j.cancel(ErrBudget) {
+		j.budget.kills.Add(1)
 	}
-	return false
 }
-
-// budgetKill enforces an overBudget charge: cancels the job with
-// ErrBudget. Outside-event-window only; see charge.
-func (j *Job) budgetKill() { j.budget.kill(j) }
 
 // registerBlocked records t as parked on b for the cancel sweep. Called
 // with b's lock held (the m.mu → j.mu order), right after t joined b's
@@ -225,9 +220,7 @@ func (j *Job) cancel(reason error) bool {
 			// and owns its republication.
 			continue
 		}
-		gl := rt.beginEvent()
 		rt.pol.Inject(t)
-		rt.endEvent(gl)
 	}
 	rt.extMu.Unlock()
 	rt.forceWake()

@@ -18,9 +18,8 @@ var errUnlockNotHeld = errors.New("grt: Unlock of a mutex the thread does not ho
 // paper's space bound no longer applies (§3.1) — but the scheduler still
 // executes them correctly, which is what the Fig. 17 experiment exercises.
 //
-// The holder/waiter state carries its own lock, so the fine-grained
-// runtime can arbitrate contended Locks without any global serialization;
-// the coarse runtime takes it (as a leaf) under the scheduler lock.
+// The holder/waiter state carries its own lock, so contended Locks are
+// arbitrated without any global serialization.
 //
 // The zero value is an unlocked mutex. Lock and Unlock must be called with
 // the calling thread's *T.
@@ -108,10 +107,7 @@ func (m *Mutex) tryAcquire(t *T) bool {
 // Lock acquires m, suspending t until it is available.
 func (m *Mutex) Lock(t *T) {
 	t.checkPoison()
-	gl := t.rt.beginEvent()
-	ok := m.tryAcquire(t)
-	t.rt.endEvent(gl)
-	if !ok {
+	if !m.tryAcquire(t) {
 		// Contended: park; the worker re-runs the full acquire (the holder
 		// may have released in between) and queues the frame on failure.
 		// Resumption implies the worker either acquired the lock then or
@@ -125,19 +121,13 @@ func (m *Mutex) Lock(t *T) {
 // the running one, so no yield is needed.
 func (m *Mutex) Unlock(t *T) {
 	t.checkPoison()
-	rt := t.rt
-	gl := rt.beginEvent()
 	next, err := m.release(t)
 	if err != nil {
-		rt.endEvent(gl)
 		t.job.fail(err)
 		return
 	}
 	if next != nil {
-		rt.pol.Wake(t.w, next)
-	}
-	rt.endEvent(gl)
-	if next != nil {
-		rt.wakeIdlers()
+		t.rt.pol.Wake(t.w, next)
+		t.rt.wakeIdlers()
 	}
 }

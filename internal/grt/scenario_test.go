@@ -66,31 +66,21 @@ func runScenario(t *testing.T, sc workload.Scenario, cfg grt.Config, scfg worklo
 }
 
 // TestScenarioCrossEngine is the suite's invariant matrix: every scenario
-// × every policy × both synchronization engines. Each run must produce
+// × every policy × one and four workers. Each run must produce
 // the serial reference checksum, the exact thread and job populations, a
 // replay-verifiable trace, and a cache-complexity report.
 func TestScenarioCrossEngine(t *testing.T) {
 	scfg := workload.ScenarioConfig{Seed: 21, Scale: 1}
-	type engine struct {
-		coarse  bool
-		workers int
-	}
 	// Every row must produce the same serial reference checksum byte for
 	// byte — the schedule may change *when* things run, never *what* they
 	// compute.
-	engines := []engine{{false, 1}, {false, 4}, {true, 4}}
 	for _, sc := range workload.Scenarios() {
 		want := sc.Expect(scfg)
 		for _, pol := range scenarioPolicies() {
-			for _, eng := range engines {
-				name := fmt.Sprintf("%s/%s/p%d", sc.Name, pol.name, eng.workers)
-				if eng.coarse {
-					name += "/coarse"
-				}
-				t.Run(name, func(t *testing.T) {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/p%d", sc.Name, pol.name, workers), func(t *testing.T) {
 					sum, rec := runScenario(t, sc, grt.Config{
-						Workers: eng.workers, Sched: pol.kind, K: pol.k,
-						Seed: 17, CoarseLock: eng.coarse,
+						Workers: workers, Sched: pol.kind, K: pol.k, Seed: 17,
 					}, scfg)
 					if sum != want {
 						t.Errorf("checksum %#x, want %#x", sum, want)
@@ -170,17 +160,13 @@ func TestScenarioSeedDeterminism(t *testing.T) {
 func TestScenarioRaceStress(t *testing.T) {
 	scfg := workload.ScenarioConfig{Seed: 33, Scale: 2}
 	for _, sc := range workload.Scenarios() {
-		for _, mode := range []struct {
-			kind   grt.Kind
-			coarse bool
-		}{{grt.DFDeques, false}, {grt.WS, true}} {
-			// channel=false records that these runs use the continuation
-			// engine, not channel-frame threads; the suffix keeps the
-			// subtest names stable.
-			t.Run(fmt.Sprintf("%s/%v/coarse=%v/channel=false", sc.Name, mode.kind, mode.coarse), func(t *testing.T) {
+		for _, kind := range []grt.Kind{grt.DFDeques, grt.WS} {
+			// coarse=false/channel=false names the fine-grained,
+			// work-first runtime; the suffix keeps the subtest names
+			// stable.
+			t.Run(fmt.Sprintf("%s/%v/coarse=false/channel=false", sc.Name, kind), func(t *testing.T) {
 				rt, err := grt.New(grt.Config{
-					Workers: 8, Sched: mode.kind, K: scenarioK, Seed: 13,
-					CoarseLock: mode.coarse,
+					Workers: 8, Sched: kind, K: scenarioK, Seed: 13,
 				})
 				if err != nil {
 					t.Fatal(err)

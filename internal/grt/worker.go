@@ -17,59 +17,23 @@ var errDeadlock = errors.New("grt: deadlock — all workers idle with live threa
 // (fork, alloc, free, unlock, future set) run inline on the thread as
 // agent of its worker; the loop below handles the blocking ones.
 //
-// The two synchronization modes share this loop:
-//
-//   - fine-grained (default): each event takes only the locks the policy
-//     internally needs (the R spine on steal, queue mutex on a queue
-//     take, nothing at all for fork, own-deque pops, or alloc/free —
-//     deque item operations are lock-free end to end);
-//   - CoarseLock: the paper's §5 protocol — beginEvent wraps every
-//     scheduling event and every acquisition attempt in one global mutex.
+// Each event takes only the locks the policy internally needs: the R
+// spine on a steal or a membership change, the queue mutex on a queue
+// operation, nothing at all for fork, own-deque pops, or alloc/free —
+// deque item operations are lock-free end to end.
 //
 // Locking map (acquisition order left to right; every lock is a leaf to
 // everything on its right):
 //
-//	rt.gmu  →  policy internals  →  rt.prioMu
-//	rt.gmu  →  rt.mu (wakeIdlers under a coarse event)
+//	rt.extMu  →  policy internals  →  rt.prioMu (Submit, the cancel sweep)
+//	rt.extMu  →  Mutex.mu / Future.mu  →  Job.mu (the cancel sweep; blocking)
+//	rt.extMu  →  rt.mu (confirmDeadlock), rt.jobsMu (Submit)
 //	policy: R spine → rt.prioMu (see core.SharedPool; deques carry no lock)
+//
+// T.stateMu, the join protocol's lock, is a leaf.
 //
 // rt.mu is only ever held to park or wake idle workers, never while
 // consulting the policy.
-
-// glock witnesses the coarse-mode critical section around one scheduling
-// event, carrying the acquisition time when contention measurement is on.
-// In fine-grained mode it is a no-op token.
-type glock struct {
-	held  bool
-	since time.Time
-}
-
-// beginEvent enters a scheduling event: under CoarseLock it takes the
-// global scheduler lock (the §5 serialization, counted in SchedLockOps);
-// in fine-grained mode it does nothing.
-func (rt *Runtime) beginEvent() glock {
-	if !rt.cfg.CoarseLock {
-		return glock{}
-	}
-	rt.gmu.Lock()
-	rt.lockOps.Add(1)
-	if rt.cfg.MeasureContention {
-		return glock{held: true, since: time.Now()}
-	}
-	return glock{held: true}
-}
-
-// endEvent leaves the scheduling event, accounting the global lock's hold
-// time when measurement is on.
-func (rt *Runtime) endEvent(gl glock) {
-	if !gl.held {
-		return
-	}
-	if !gl.since.IsZero() {
-		rt.lockNs.Add(time.Since(gl.since).Nanoseconds())
-	}
-	rt.gmu.Unlock()
-}
 
 // worker is one virtual processor: it acquires a thread, drives it from
 // blocking event to blocking event, and consults the policy at each.
@@ -102,12 +66,10 @@ func (rt *Runtime) worker(w int) {
 			continue
 		}
 
-		gl := rt.beginEvent()
-		// wake is set by the branches that publish work a parked worker
-		// could run; wakeIdlers runs after the policy call so the policy's
-		// ready state is raised before the idlers check (the park
-		// protocol's ordering requirement — see acquire).
-		wake := false
+		// The branches that publish work a parked worker could run call
+		// wakeIdlers after the policy call, so the policy's ready state is
+		// raised before the idlers check (the park protocol's ordering
+		// requirement — see acquire).
 		switch ev.kind {
 		case evJoin:
 			if ev.child.registerWaiter(w, curr) {
@@ -136,7 +98,7 @@ func (rt *Runtime) worker(w int) {
 			curr.job.preempts.Add(1)
 			rt.trace(w, rtrace.EvQuotaExhaust, curr.tid, ev.n, 0)
 			rt.pol.Preempt(w, curr)
-			wake = true
+			rt.wakeIdlers()
 			curr = nil
 
 		case evDone:
@@ -167,12 +129,8 @@ func (rt *Runtime) worker(w int) {
 				// The policy may have republished work (the dummy-thread
 				// give-up leaves the deque stealable); wake conservatively.
 				curr = nil
-				wake = true
+				rt.wakeIdlers()
 			}
-		}
-		rt.endEvent(gl)
-		if wake {
-			rt.wakeIdlers()
 		}
 	}
 }
@@ -229,9 +187,7 @@ func (rt *Runtime) acquire(w int) *T {
 			rt.spinning.Add(-1)
 			return nil
 		}
-		gl := rt.beginEvent()
 		x, ok := rt.pol.Acquire(w)
-		rt.endEvent(gl)
 		if ok {
 			rt.spinning.Add(-1)
 			if woken {

@@ -2,9 +2,9 @@ package policy
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
+	"dfdeques/internal/core"
 	"dfdeques/internal/rtrace"
 )
 
@@ -60,7 +60,7 @@ func (q *PrioQueue[T]) Take() (T, bool) {
 // a single thread, which is exactly the contention DFDeques exists to
 // avoid; the LockOps counter makes that visible.
 type ADF[T any] struct {
-	mu    sync.Mutex
+	mu    core.CountedLock
 	q     *PrioQueue[T]
 	quota *Quota
 	k     int64
@@ -69,9 +69,8 @@ type ADF[T any] struct {
 	probe rtrace.Probe
 	tidOf func(T) int64
 
-	ready   atomic.Int64 // queue length mirror: HasWork without the lock
-	steals  atomic.Int64
-	lockOps atomic.Int64
+	ready  atomic.Int64 // queue length mirror: HasWork without the lock
+	steals atomic.Int64
 }
 
 // NewADF builds an ADF(K) policy for p workers ordered by less.
@@ -85,6 +84,9 @@ func (a *ADF[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
 	a.probe = p
 	a.tidOf = tid
 }
+
+// MeasureLocks times the queue mutex's holds (Stats.LockNs).
+func (a *ADF[T]) MeasureLocks() { a.mu.Time() }
 
 // Name implements Policy.
 func (a *ADF[T]) Name() string { return "ADF" }
@@ -148,7 +150,8 @@ func (a *ADF[T]) HasWork() bool { return a.ready.Load() > 0 }
 
 // Stats implements Policy.
 func (a *ADF[T]) Stats() Stats {
-	return Stats{Steals: a.steals.Load(), LockOps: a.lockOps.Load(), MaxDeques: 1}
+	ops, ns := a.mu.Stats()
+	return Stats{Steals: a.steals.Load(), LockOps: ops, LockNs: ns, MaxDeques: 1}
 }
 
 // insert publishes t on behalf of worker w (-1: pre-run seed). The ready
@@ -156,7 +159,6 @@ func (a *ADF[T]) Stats() Stats {
 // protocol cannot lose the wake-up.
 func (a *ADF[T]) insert(w int, t T) {
 	a.mu.Lock()
-	a.lockOps.Add(1)
 	a.q.Insert(t)
 	if rtrace.Enabled && a.probe != nil {
 		a.probe.Event(w, rtrace.EvQueuePush, a.tidOf(t), 0, 0)
@@ -177,7 +179,6 @@ func (a *ADF[T]) adfPop(w int) (T, bool) {
 		return zero, false
 	}
 	a.mu.Lock()
-	a.lockOps.Add(1)
 	x, ok := a.q.Take()
 	if ok && rtrace.Enabled && a.probe != nil {
 		a.probe.Event(w, rtrace.EvQueueTake, a.tidOf(x), 0, 0)

@@ -35,6 +35,9 @@ func (d *DFD[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
 	d.pool.Instrument(p, tid)
 }
 
+// MeasureLocks times the R spine's exclusive holds (Stats.LockNs).
+func (d *DFD[T]) MeasureLocks() { d.pool.MeasureLocks() }
+
 // Name implements Policy.
 func (d *DFD[T]) Name() string { return "DFDeques" }
 
@@ -124,11 +127,13 @@ func (d *DFD[T]) HasWork() bool { return d.pool.HasWork() }
 // Stats implements Policy.
 func (d *DFD[T]) Stats() Stats {
 	s, f, l := d.pool.Stats()
+	ops, ns := d.pool.LockStats()
 	return Stats{
 		Steals:          s,
 		FailedSteals:    f,
 		LocalDispatches: l,
-		LockOps:         d.pool.ListLockOps(),
+		LockOps:         ops,
+		LockNs:          ns,
 		MaxDeques:       d.pool.MaxDeques(),
 	}
 }

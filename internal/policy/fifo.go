@@ -1,9 +1,9 @@
 package policy
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"dfdeques/internal/core"
 	"dfdeques/internal/rtrace"
 )
 
@@ -50,7 +50,7 @@ func (q *FIFOQueue[T]) Pop() (T, bool) {
 // transformation still delays large allocations uniformly across
 // policies.
 type FIFO[T any] struct {
-	mu sync.Mutex
+	mu core.CountedLock
 	q  FIFOQueue[T]
 	k  int64
 
@@ -58,9 +58,8 @@ type FIFO[T any] struct {
 	probe rtrace.Probe
 	tidOf func(T) int64
 
-	ready   atomic.Int64
-	steals  atomic.Int64
-	lockOps atomic.Int64
+	ready  atomic.Int64
+	steals atomic.Int64
 }
 
 // NewFIFO builds a FIFO policy with dummy-thread threshold k.
@@ -72,6 +71,9 @@ func (f *FIFO[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
 	f.probe = p
 	f.tidOf = tid
 }
+
+// MeasureLocks times the queue mutex's holds (Stats.LockNs).
+func (f *FIFO[T]) MeasureLocks() { f.mu.Time() }
 
 // Name implements Policy.
 func (f *FIFO[T]) Name() string { return "FIFO" }
@@ -116,7 +118,6 @@ func (f *FIFO[T]) Terminate(w int, woke T, hasWoke bool) (T, bool) {
 		return f.fifoPop(w)
 	}
 	f.mu.Lock()
-	f.lockOps.Add(1)
 	f.q.Push(woke)
 	f.traceLocked(w, rtrace.EvQueuePush, woke)
 	x, ok := f.q.Pop() // never fails: woke was just pushed
@@ -139,12 +140,12 @@ func (f *FIFO[T]) HasWork() bool { return f.ready.Load() > 0 }
 
 // Stats implements Policy.
 func (f *FIFO[T]) Stats() Stats {
-	return Stats{Steals: f.steals.Load(), LockOps: f.lockOps.Load(), MaxDeques: 1}
+	ops, ns := f.mu.Stats()
+	return Stats{Steals: f.steals.Load(), LockOps: ops, LockNs: ns, MaxDeques: 1}
 }
 
 func (f *FIFO[T]) push(w int, t T) {
 	f.mu.Lock()
-	f.lockOps.Add(1)
 	f.q.Push(t)
 	f.traceLocked(w, rtrace.EvQueuePush, t)
 	f.mu.Unlock()
@@ -161,7 +162,6 @@ func (f *FIFO[T]) fifoPop(w int) (T, bool) {
 		return zero, false
 	}
 	f.mu.Lock()
-	f.lockOps.Add(1)
 	x, ok := f.q.Pop()
 	if ok {
 		f.traceLocked(w, rtrace.EvQueueTake, x)

@@ -38,9 +38,12 @@ type Stats struct {
 	// LocalDispatches counts own-deque pops (DFDeques and WS only).
 	LocalDispatches int64
 	// LockOps counts exclusive acquisitions of the policy's serializing
-	// lock: the R spine for the deque policies, the queue mutex for the
-	// global-queue policies.
+	// lock: the R spine for DFDeques, the inject mutex for WS, the queue
+	// mutex for the global-queue policies. LockNs is their total hold
+	// time in nanoseconds, taken only after the policy's MeasureLocks
+	// (which must precede any sharing of the policy).
 	LockOps int64
+	LockNs  int64
 	// MaxDeques is the high-water mark of the ready structure: len(R) for
 	// DFDeques, the (fixed) per-worker deque count for WS, 1 for the
 	// global-queue policies.

@@ -163,7 +163,8 @@ func TestWSPoolConcurrent(t *testing.T) {
 	if n != workers*pushes {
 		t.Errorf("consumed %d tokens, want %d", n, workers*pushes)
 	}
-	steals, _, local, lockOps := pl.Stats()
+	steals, _, local := pl.Stats()
+	lockOps, _ := pl.LockStats()
 	if steals+local != int64(n) {
 		t.Errorf("steals(%d)+local(%d) != consumed(%d)", steals, local, n)
 	}

@@ -36,7 +36,7 @@ type WSPool[T comparable] struct {
 
 	// injectMu serializes injectors (the inbox's collective owner role).
 	// It is never taken by a worker on any path.
-	injectMu sync.Mutex
+	injectMu core.CountedLock
 
 	// claimMu is taken by thieves only while a probe is attached: it
 	// makes a bottom claim and its trace record one step, so two thieves
@@ -51,11 +51,10 @@ type WSPool[T comparable] struct {
 	probe rtrace.Probe
 	tidOf func(T) int64
 
-	ready   atomic.Int64 // total queued threads: lock-free has-work checks
-	steals  atomic.Int64
-	failed  atomic.Int64
-	local   atomic.Int64
-	lockOps atomic.Int64 // injectMu acquisitions (the pool's only lock)
+	ready  atomic.Int64 // total queued threads: lock-free has-work checks
+	steals atomic.Int64
+	failed atomic.Int64
+	local  atomic.Int64
 }
 
 // NewWSPool builds a pool of p per-worker deques plus the shared inbox.
@@ -114,7 +113,6 @@ func (pl *WSPool[T]) Push(w int, x T) {
 // the critical section, before the publish.
 func (pl *WSPool[T]) inject(recorder int, x T) {
 	pl.injectMu.Lock()
-	pl.lockOps.Add(1)
 	if pl.tidOf != nil {
 		pl.trace(recorder, rtrace.EvPush, pl.tidOf(x), pl.inbox.ID, 0)
 	}
@@ -227,12 +225,15 @@ func (pl *WSPool[T]) HasWork() bool { return pl.ready.Load() > 0 }
 // concurrent callers get only the deque's nonblocking foreign reads.
 func (pl *WSPool[T]) At(i int) *deque.Deque[T] { return pl.dq[i] }
 
-// Stats returns (steals, failed attempts, local dispatches, and injectMu
-// acquisitions — the pool's only remaining lock, taken exclusively by
-// injectors; the worker hot paths are mutex-free).
-func (pl *WSPool[T]) Stats() (steals, failed, local, lockOps int64) {
-	return pl.steals.Load(), pl.failed.Load(), pl.local.Load(), pl.lockOps.Load()
+// Stats returns (steals, failed attempts, local dispatches).
+func (pl *WSPool[T]) Stats() (steals, failed, local int64) {
+	return pl.steals.Load(), pl.failed.Load(), pl.local.Load()
 }
+
+// LockStats returns the injectMu acquisitions and, under WS.MeasureLocks,
+// their total hold time in nanoseconds. injectMu is the only lock the
+// pool counts: injectors take it, the worker hot paths never do.
+func (pl *WSPool[T]) LockStats() (ops, ns int64) { return pl.injectMu.Stats() }
 
 // WS is the space-efficient work stealer of Blumofe & Leiserson as a
 // runtime policy — the paper's "Cilk" reference point, and the
@@ -274,6 +275,9 @@ func (s *WS[T]) rng(w int) *rand.Rand {
 func (s *WS[T]) Instrument(p rtrace.Probe, tid func(T) int64) {
 	s.pool.Instrument(p, tid)
 }
+
+// MeasureLocks times the inject mutex's holds (Stats.LockNs).
+func (s *WS[T]) MeasureLocks() { s.pool.injectMu.Time() }
 
 // Name implements Policy.
 func (s *WS[T]) Name() string { return "WS" }
@@ -358,12 +362,14 @@ func (s *WS[T]) HasWork() bool { return s.pool.HasWork() }
 // Stats implements Policy. MaxDeques is structurally the worker count:
 // the sense in which DFDeques(∞)'s deque list never outgrows p (§3.3).
 func (s *WS[T]) Stats() Stats {
-	st, f, l, ops := s.pool.Stats()
+	st, f, l := s.pool.Stats()
+	ops, ns := s.pool.LockStats()
 	return Stats{
 		Steals:          st,
 		FailedSteals:    f,
 		LocalDispatches: l,
 		LockOps:         ops,
+		LockNs:          ns,
 		MaxDeques:       s.pool.Workers(),
 	}
 }

@@ -126,17 +126,6 @@ func TestVerifyRealRuns(t *testing.T) {
 	}
 }
 
-// TestVerifyCoarseLock replays the paper's serialized §5 protocol: the
-// same invariants must hold under the global scheduler lock.
-func TestVerifyCoarseLock(t *testing.T) {
-	rec := record(t, grt.Config{
-		Workers: 4, Sched: grt.DFDeques, K: 256, Seed: 3, CoarseLock: true,
-	}, tree(6))
-	if _, err := rtrace.Verify(rec.Meta(), rec.Events(), rec.Dropped()); err != nil {
-		t.Fatalf("replay verification failed under CoarseLock: %v", err)
-	}
-}
-
 // TestVerifyLockProgramDegradesGracefully: programs using Mutex leave the
 // nested-parallel model, so the verifier must disable the ordering checks
 // (§5) but still prove conservation and quota accounting.

@@ -89,8 +89,7 @@ func New(cfg Config) (*Server, error) {
 	probe := rtrace.Tee(s.counters, rcfg.Probe)
 	rt, err := grt.New(grt.Config{
 		Workers: rcfg.Workers, Sched: rcfg.Sched, K: rcfg.K, Seed: rcfg.Seed,
-		CoarseLock: rcfg.CoarseLock, MeasureContention: rcfg.MeasureContention,
-		Probe: probe,
+		MeasureContention: rcfg.MeasureContention, Probe: probe,
 	})
 	if err != nil {
 		return nil, err

@@ -83,8 +83,10 @@ go test -run='^$' -benchtime="$benchtime" -benchmem \
 
 # Fold "Benchmark<Name>/<sub>-<gomaxprocs> N v1 unit1 v2 unit2 ..." lines
 # into JSON. workers comes from a pN path element (0 = not applicable);
-# engine is coarse/fine for the runtime benchmarks, sim for the simulator,
-# struct for the bare data-structure benchmarks.
+# engine is fine for the runtime benchmarks, sim for the simulator,
+# serve for the serving layer, struct for the bare data-structure
+# benchmarks. (Older BENCH_*.json snapshots also carry coarse rows, from
+# the deleted global-lock engine.)
 awk -v label="$label" '
 /^Benchmark/ {
 	name = $1
@@ -98,8 +100,7 @@ awk -v label="$label" '
 	workers = 0
 	if (match(name, /\/p[0-9]+/)) workers = substr(name, RSTART + 2, RLENGTH - 2)
 	engine = "struct"
-	if (name ~ /\/coarse/) engine = "coarse"
-	else if (name ~ /\/fine/) engine = "fine"
+	if (name ~ /\/fine/) engine = "fine"
 	else if (name ~ /^BenchmarkGrtSpeedup/) engine = "fine"
 	else if (name ~ /^BenchmarkGrtForkJoinCost/) engine = "fine"
 	else if (name ~ /^BenchmarkGrtTrace/) engine = "fine"
